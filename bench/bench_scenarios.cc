@@ -13,10 +13,11 @@
 //   2. sweep_batch           — N interventions over one shared view: fresh
 //                              engine runs vs warm-cache singles vs one
 //                              SubmitWhatIfBatch against one prepared plan.
-//   3. howto_shared          — a how-to run with per-candidate retraining
-//                              (legacy) vs shared-plan candidate scoring.
+//   3. howto_shared          — shared-plan candidate scoring, every score
+//                              checked against a fresh Run of its candidate.
 //   4. bench_howto           — parallel candidate scoring at 1/2/4/8 threads.
-//   5. branch_fanout         — chained branch deltas, cold vs staged reuse.
+//   5. branch_fanout         — chained branch deltas, fresh standalone Run
+//                              per branch vs staged reuse.
 //   6. governance_overhead   — warm what-if with a generous budget armed vs
 //                              ungoverned; gated within 2%.
 //   7. durability_recovery   — journaled applies vs in-memory applies, then
@@ -194,56 +195,58 @@ int main(int argc, char** argv) {
                {"equal", g_mismatches == 0 ? 1.0 : 0.0}});
 
   // -------------------------------------------------------------------
-  Banner("3. how-to: per-candidate retraining vs shared estimators");
+  Banner("3. how-to: shared-plan candidate scoring vs fresh runs");
   const std::string howto_sql =
       "Use German HowToUpdate Status, Savings "
       "ToMaximize Count(Credit = 1)";
-  howto::HowToOptions legacy;
-  legacy.whatif = options;
-  legacy.share_plans = false;
-  howto::HowToOptions shared_options = legacy;
-  shared_options.share_plans = true;
-
-  howto::HowToEngine legacy_engine(&ds.db, &ds.graph, legacy);
-  Stopwatch howto_timer;
-  howto::HowToResult before = Unwrap(legacy_engine.RunSql(howto_sql),
-                                     "how-to legacy");
-  const double before_seconds = howto_timer.ElapsedSeconds();
+  const sql::Statement howto_stmt = Unwrap(sql::ParseSql(howto_sql),
+                                           "parse how-to");
+  howto::HowToOptions shared_options;
+  shared_options.whatif = options;
 
   howto::HowToEngine shared_engine(&ds.db, &ds.graph, shared_options);
-  howto_timer.Restart();
-  howto::HowToResult after = Unwrap(shared_engine.RunSql(howto_sql),
+  Stopwatch howto_timer;
+  howto::HowToResult after = Unwrap(shared_engine.Run(*howto_stmt.howto),
                                     "how-to shared");
   const double after_seconds = howto_timer.ElapsedSeconds();
 
-  CheckEqual(before.baseline_value, after.baseline_value, "how-to baseline");
-  CheckEqual(before.objective_value, after.objective_value,
-             "how-to objective");
-  if (before.PlanToString() != after.PlanToString()) {
-    std::fprintf(stderr, "[bench_scenarios] MISMATCH how-to plans: %s vs %s\n",
-                 before.PlanToString().c_str(), after.PlanToString().c_str());
-    ++g_mismatches;
-  }
-  for (size_t a = 0; a < before.candidates.size(); ++a) {
-    for (size_t i = 0; i < before.candidates[a].size(); ++i) {
-      CheckEqual(before.candidates[a][i].objective_value,
-                 after.candidates[a][i].objective_value,
+  // Every score must equal a fresh Run of its candidate statement (the
+  // baseline is the no-op what-if: any Set update under When false).
+  howto_timer.Restart();
+  whatif::UpdateSpec noop = after.candidates[0][0].spec;
+  noop.func = sql::UpdateFuncKind::kSet;
+  sql::WhatIfStmt baseline_stmt =
+      howto::MakeCandidateWhatIf(*howto_stmt.howto, {noop});
+  baseline_stmt.when = sql::MakeLiteral(Value::Bool(false));
+  CheckEqual(Unwrap(fresh_engine.Run(baseline_stmt), "fresh baseline").value,
+             after.baseline_value, "how-to baseline");
+  for (size_t a = 0; a < after.candidates.size(); ++a) {
+    for (size_t i = 0; i < after.candidates[a].size(); ++i) {
+      const howto::CandidateUpdate& cu = after.candidates[a][i];
+      const double fresh_value =
+          Unwrap(fresh_engine.Run(howto::MakeCandidateWhatIf(
+                     *howto_stmt.howto, {cu.spec})),
+                 "fresh candidate")
+              .value;
+      CheckEqual(fresh_value, cu.objective_value,
                  "how-to candidate " + std::to_string(a) + "/" +
                      std::to_string(i));
     }
   }
+  const double fresh_howto_seconds = howto_timer.ElapsedSeconds();
 
   TablePrinter t3({"variant", "seconds", "speedup", "trainings-saved"});
   t3.PrintHeader();
-  t3.PrintRow({"per-candidate", Fmt(before_seconds), "1.0", "0"});
+  t3.PrintRow({"fresh run per candidate", Fmt(fresh_howto_seconds), "1.0",
+               "0"});
   t3.PrintRow({"shared plans", Fmt(after_seconds),
-               Fmt(before_seconds / after_seconds, "%.1f"),
+               Fmt(fresh_howto_seconds / after_seconds, "%.1f"),
                Fmt(static_cast<double>(after.pattern_cache_hits), "%.0f")});
   json.Record("howto_shared",
-              {{"candidates", static_cast<double>(before.candidates_evaluated)},
-               {"legacy_seconds", before_seconds},
+              {{"candidates", static_cast<double>(after.candidates_evaluated)},
+               {"fresh_seconds", fresh_howto_seconds},
                {"shared_seconds", after_seconds},
-               {"speedup", before_seconds / after_seconds},
+               {"speedup", fresh_howto_seconds / after_seconds},
                {"pattern_cache_hits",
                 static_cast<double>(after.pattern_cache_hits)},
                {"equal", g_mismatches == 0 ? 1.0 : 0.0}});
@@ -346,24 +349,21 @@ int main(int argc, char** argv) {
   json.Record("bench_howto", howto_record);
 
   // -------------------------------------------------------------------
-  Banner("5. branch fan-out: chained 1-cell deltas, cold vs staged reuse");
+  Banner("5. branch fan-out: chained 1-cell deltas, fresh vs staged reuse");
   // Real branch traffic: N branches chained off main, each differing from
   // its parent by a single overridden cell on an attribute the measured
   // query's estimators never read (Savings is outside the {Age, Housing}
   // adjustment set, the update attribute and the For/Output references).
   // The staged pipeline must serve every branch's first query by patching
   // the trunk's columnar image and reusing its Causal/Learn stages — the
-  // per-stage miss counters prove it — where the monolithic arm re-prepares
-  // and retrains per branch. Answers are gated bit-identical across arms.
+  // per-stage miss counters prove it — where a fresh standalone Run over the
+  // branch's effective database re-prepares and retrains. Answers are gated
+  // bit-identical to those fresh runs.
   const size_t fan_n = smoke ? 3 : 8;
   auto fan_branch_sql = [](size_t i) {
     return "Use German When Id = " + std::to_string(i) +
            " Update(Savings) = " + std::to_string(i % 3) + " Output Count(*)";
   };
-
-  service::ServiceOptions staged_opts = service_options;
-  service::ServiceOptions monolithic_opts = service_options;
-  monolithic_opts.whatif.staged_prepare = false;
 
   struct FanArm {
     std::vector<double> values;
@@ -373,7 +373,7 @@ int main(int argc, char** argv) {
   auto run_arm = [&](service::ScenarioService& svc) {
     FanArm arm;
     // Warm the trunk first: branch traffic rides on an already-serving
-    // world in both arms.
+    // world.
     service::Response trunk = svc.Submit({"main", query, {}});
     CheckOk(trunk.status, "fan-out trunk");
     std::string parent = "main";
@@ -398,13 +398,22 @@ int main(int argc, char** argv) {
     return arm;
   };
 
-  service::ScenarioService staged_svc(ds.db, ds.graph, staged_opts);
+  service::ScenarioService staged_svc(ds.db, ds.graph, service_options);
   const FanArm staged_arm = run_arm(staged_svc);
-  service::ScenarioService monolithic_svc(ds.db, ds.graph, monolithic_opts);
-  const FanArm cold_arm = run_arm(monolithic_svc);
 
+  // The fresh arm: a standalone Run (no stage cache) over each branch's
+  // effective database, which prepares and trains from scratch.
+  std::vector<double> cold_prepare_seconds(fan_n);
   for (size_t i = 0; i < fan_n; ++i) {
-    CheckEqual(cold_arm.values[i], staged_arm.values[i],
+    auto world = Unwrap(staged_svc.EffectiveDatabase("fan" + std::to_string(i)),
+                        "fan-out world");
+    const whatif::WhatIfResult fresh_branch =
+        Unwrap(whatif::WhatIfEngine(world.get(), &ds.graph,
+                                    service_options.whatif)
+                   .RunSql(query),
+               "fan-out fresh run");
+    cold_prepare_seconds[i] = fresh_branch.prepare_seconds;
+    CheckEqual(fresh_branch.value, staged_arm.values[i],
                "fan-out branch " + std::to_string(i));
   }
   // Per-stage prepare counters: N+1 plans (trunk + one per branch) were
@@ -426,23 +435,19 @@ int main(int argc, char** argv) {
   gate_counter("learn.misses", fan_stats.learn.misses, 1);
   gate_counter("query.misses", fan_stats.query.misses, fan_n + 1);
 
-  double staged_prepare = 0.0, cold_prepare = 0.0;
+  double reuse_prepare = 0.0, cold_prepare = 0.0;
   for (size_t i = 0; i < fan_n; ++i) {
-    staged_prepare += staged_arm.prepare_seconds[i];
-    cold_prepare += cold_arm.prepare_seconds[i];
+    reuse_prepare += staged_arm.prepare_seconds[i];
+    cold_prepare += cold_prepare_seconds[i];
   }
-  const double fan_speedup = cold_prepare / staged_prepare;
+  const double fan_speedup = cold_prepare / reuse_prepare;
 
-  TablePrinter t5({"variant", "prepare-s/branch", "submit-s/branch",
-                   "speedup"});
+  TablePrinter t5({"variant", "prepare-s/branch", "speedup"});
   t5.PrintHeader();
-  t5.PrintRow({"cold (monolithic)",
-               Fmt(cold_prepare / static_cast<double>(fan_n)),
-               Fmt(cold_arm.submit_seconds / static_cast<double>(fan_n)),
-               "1.0"});
+  t5.PrintRow({"cold (fresh run)",
+               Fmt(cold_prepare / static_cast<double>(fan_n)), "1.0"});
   t5.PrintRow({"staged reuse",
-               Fmt(staged_prepare / static_cast<double>(fan_n)),
-               Fmt(staged_arm.submit_seconds / static_cast<double>(fan_n)),
+               Fmt(reuse_prepare / static_cast<double>(fan_n)),
                Fmt(fan_speedup, "%.1f")});
   std::printf("staged stage misses: scope %zu | causal %zu | learn %zu | "
               "query %zu (plans %zu)\n",
@@ -453,8 +458,7 @@ int main(int argc, char** argv) {
       "branch_fanout",
       {{"n", static_cast<double>(fan_n)},
        {"cold_prepare_seconds", cold_prepare},
-       {"staged_prepare_seconds", staged_prepare},
-       {"cold_submit_seconds", cold_arm.submit_seconds},
+       {"reuse_prepare_seconds", reuse_prepare},
        {"staged_submit_seconds", staged_arm.submit_seconds},
        {"speedup_prepare", fan_speedup},
        {"learn_prepares", static_cast<double>(fan_stats.learn.misses)},

@@ -12,6 +12,7 @@
 
 #include "bench/bench_util.h"
 #include "data/datasets.h"
+#include "sql/parser.h"
 #include "whatif/engine.h"
 
 namespace hyper {
@@ -70,12 +71,16 @@ whatif::WhatIfOptions ModeOptions(whatif::BackdoorMode mode,
   return options;
 }
 
+/// Times one Run of `query` (or, with `reference`, one call of the
+/// reference row interpreter).
 double TimeRun(const data::Dataset& ds, const char* query,
                const whatif::WhatIfOptions& options,
-               double* value_out = nullptr) {
+               double* value_out = nullptr, bool reference = false) {
   whatif::WhatIfEngine engine(&ds.db, &ds.graph, options);
+  auto stmt = bench::Unwrap(sql::ParseSql(query), "parse");
   Stopwatch timer;
-  auto result = engine.RunSql(query);
+  auto result = reference ? engine.RunReference(*stmt.whatif)
+                          : engine.Run(*stmt.whatif);
   const double seconds = timer.ElapsedSeconds();
   if (!result.ok()) {
     std::fprintf(stderr, "[bench] query failed on %s: %s\n", ds.name.c_str(),
@@ -106,18 +111,17 @@ int main(int argc, char** argv) {
     auto ds = bench::Unwrap(
         data::MakeByName(workload.dataset, scale, flags.seed), "dataset");
 
-    // HypeR on the columnar engine vs the legacy row interpreter: the
+    // HypeR on the columnar engine vs the reference row interpreter: the
     // answers must agree exactly (fixed seed) — only the latency may differ.
     double columnar_value = 0.0, row_value = 0.0;
     const double hyper_s =
         TimeRun(ds, workload.query,
                 ModeOptions(whatif::BackdoorMode::kGraph, 0),
                 &columnar_value);
-    whatif::WhatIfOptions row_options =
-        ModeOptions(whatif::BackdoorMode::kGraph, 0);
-    row_options.use_columnar = false;
     const double hyper_row_s =
-        TimeRun(ds, workload.query, row_options, &row_value);
+        TimeRun(ds, workload.query,
+                ModeOptions(whatif::BackdoorMode::kGraph, 0), &row_value,
+                /*reference=*/true);
     if (columnar_value != row_value) {
       std::fprintf(stderr,
                    "[bench] columnar/row answers diverge on %s: %.17g vs "

@@ -5,9 +5,10 @@
 #
 # Exits non-zero on the first failure. The perf gate (`ctest -L perf`) runs
 # the histogram/batched-inference parity tests and the bench smoke runs,
-# which assert that the columnar engine reproduces the row interpreter, that
-# cached/batched answers are bit-identical to fresh runs, and that
-# PredictBatch matches per-row Predict — so a green check covers both
+# which assert that the engine reproduces the reference row interpreter
+# (WhatIfEngine::RunReference, a test/bench reference no library code may
+# call), that cached/batched answers are bit-identical to fresh runs, and
+# that PredictBatch matches per-row Predict — so a green check covers both
 # correctness and the perf substrate's wiring.
 
 set -euo pipefail
@@ -28,7 +29,8 @@ echo "== static analysis (invariant linter + thread-safety + clang-tidy) =="
 # Three legs, mirroring the sanitizer probe-then-skip pattern:
 #   1. scripts/lint_invariants.py — plain python3, always runs: governance
 #      state out of cache keys, no unordered iteration on serving paths, no
-#      naked clocks in hot loops, no unjustified (void)-dropped Status.
+#      naked clocks in hot loops, no unjustified (void)-dropped Status, no
+#      library call to the reference interpreter.
 #   2. Clang Thread Safety Analysis — builds src/ under clang with
 #      -Werror=thread-safety (HYPER_THREAD_SAFETY=ON) and runs the
 #      negative-compile test proving the gate rejects unlocked guarded
@@ -62,8 +64,8 @@ fi
 echo "== perf gate (parity tests + bench smoke + 100k scale smoke) =="
 # bench_micro_smoke exists only when google-benchmark was found; ctest runs
 # whatever perf tests are registered. scale_perf_test is the 100k-row
-# mirror of the bench scale sweep: legacy-vs-vectorized what-if bit
-# equality at 1/2/4/8 threads plus kernel-vs-per-row bit equality across a
+# mirror of the bench scale sweep: what-if bit equality at 1/2/4/8 threads
+# against RunReference and a forced-scalar 1-thread run, plus kernel-vs-per-row bit equality across a
 # segment boundary (bit-equality gates only — no timing assertions).
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L perf
 

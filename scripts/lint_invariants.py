@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific invariant linters for the HypeR serving layer.
 
-Five rules, each encoding a contract the type system cannot express and a
+Six rules, each encoding a contract the type system cannot express and a
 bug class this codebase has to actively defend against:
 
   cache-key-governance   Cache-key structs (names ending in `Key`) must not
@@ -48,6 +48,13 @@ bug class this codebase has to actively defend against:
                          a comment on the same line or within the two lines
                          above saying why dropping the result is correct.
 
+  reference-only         WhatIfEngine::RunReference (the row interpreter) is
+                         a test and bench reference, not a serving path:
+                         library code must never call it, so a fallback from
+                         Prepare/Evaluate to a second evaluator cannot come
+                         back unnoticed. Only its declaration and definition
+                         may name it; there is no allow annotation.
+
 Usage: lint_invariants.py [paths...]   (default: src/)
 Exit 0 when clean, 1 when any rule fired, 2 on usage errors.
 """
@@ -65,6 +72,9 @@ UNORDERED_DECL_CONT = re.compile(r"^\s*(\w+)\s*(?:;|=|\{|\bGUARDED_BY)")
 RANGE_FOR = re.compile(r"for\s*\([^;)]*?:\s*(\w+)\s*\)")
 STEADY_CLOCK = re.compile(r"steady_clock::now\s*\(")
 VOID_CAST = re.compile(r"^\s*\(void\)\s*[\w.\->:]+\s*\(")
+REFERENCE_CALL = re.compile(r"\bRunReference\s*\(")
+REFERENCE_DECL = re.compile(
+    r"Result<\s*WhatIfResult\s*>\s+(?:WhatIfEngine::)?RunReference\s*\(")
 RAW_ATOMIC = re.compile(
     r"(?:\.|->)\s*(fetch_add|fetch_sub|compare_exchange_weak|"
     r"compare_exchange_strong)\s*\(")
@@ -170,6 +180,16 @@ def lint_file(path, findings):
                  "(order-deterministic, contention-free), or annotate "
                  "// lint:allow(raw-atomic-partition): <why the fold order "
                  "cannot reach a served value>"))
+
+    # --- reference-only ---
+    for i, line in enumerate(lines):
+        code = line.split("//", 1)[0]
+        if REFERENCE_CALL.search(code) and not REFERENCE_DECL.search(code):
+            findings.append(
+                (path, i + 1, "reference-only",
+                 "call to WhatIfEngine::RunReference in library code; the "
+                 "reference interpreter is for tests and benches only — "
+                 "serve through Prepare + Evaluate and surface their error"))
 
     # --- void-cast ---
     for i, line in enumerate(lines):

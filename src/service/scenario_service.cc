@@ -530,10 +530,21 @@ Result<HypotheticalDelta> ComputeHypotheticalDelta(
     spec.attribute = stmt.updates[j].attribute;
     spec.func = stmt.updates[j].func;
     spec.constant = stmt.updates[j].constant;
+    const AttributeDef& attr = schema.attribute(delta.attr_of_update[j]);
     delta.cells[j].reserve(s_rows.size());
     for (size_t r : s_rows) {
       HYPER_ASSIGN_OR_RETURN(
           Value post, spec.Apply(table->At(r, delta.attr_of_update[j])));
+      // The same type rule Table::Append enforces: a branch write must not
+      // leave a column the base data could never hold (e.g. a string in an
+      // int column, which no columnar image can represent).
+      if (!TypeAccepts(attr.type, post.type())) {
+        return Status::InvalidArgument(StrFormat(
+            "hypothetical update: value %s has type %s but attribute '%s' "
+            "is declared %s",
+            post.ToString().c_str(), ValueTypeName(post.type()),
+            attr.name.c_str(), ValueTypeName(attr.type)));
+      }
       delta.cells[j].emplace_back(r, std::move(post));
     }
   }
@@ -652,19 +663,6 @@ Response ScenarioService::Dispatch(const Request& request,
       }
       response.whatif.total_seconds =
           response.whatif.prepare_seconds + response.whatif.eval_seconds;
-    } else if (plan.status().code() == StatusCode::kUnimplemented) {
-      // Shapes the columnar substrate cannot serve run uncached on the
-      // legacy row path — dispatched there directly, so the failed Prepare
-      // is not attempted a second time inside Run.
-      whatif::WhatIfOptions row_options = opts;
-      row_options.use_columnar = false;
-      whatif::WhatIfEngine row_engine(world.db.get(), graph(), row_options);
-      auto result = row_engine.Run(*parsed->whatif);
-      if (!result.ok()) {
-        response.status = result.status();
-        return response;
-      }
-      response.whatif = std::move(result).value();
     } else {
       response.status = plan.status();
       return response;
@@ -802,11 +800,11 @@ Response ScenarioService::GovernedDispatch(const Request& request,
     response = Dispatch(request, world);
   } else {
     // Inject the armed guard through the per-request what-if options: the
-    // what-if engine, the how-to engine's scoring pass and the row fallback
-    // all pick it up instead of arming their own, so one deadline spans the
-    // whole request. Plan-cache keys are built from named option fields and
-    // never include governance state, so a governed request hits exactly the
-    // entries an ungoverned one would.
+    // what-if engine and the how-to engine's scoring pass both pick it up
+    // instead of arming their own, so one deadline spans the whole request.
+    // Plan-cache keys are built from named option fields and never include
+    // governance state, so a governed request hits exactly the entries an
+    // ungoverned one would.
     Request governed = request;
     whatif::WhatIfOptions opts = request.whatif_options.has_value()
                                      ? *request.whatif_options
@@ -934,49 +932,7 @@ Result<std::vector<WhatIfBatchItem>> ScenarioService::DoSubmitWhatIfBatch(
   auto plan = cache_.GetOrPrepare(
       WhatIfPlanKey(world.scope, *parsed.whatif, options_.whatif),
       [&] { return engine.Prepare(*parsed.whatif, &stage_context); }, &hit);
-  if (!plan.ok()) {
-    if (plan.status().code() != StatusCode::kUnimplemented) {
-      return plan.status();
-    }
-    // Row-path fallback: run each intervention as a fresh statement, with
-    // the same shape contract Evaluate enforces — interventions supply
-    // constants and functions, never new attributes. Dispatch straight to
-    // the row interpreter so the failed Prepare is not re-attempted N times.
-    // Failures (shape mismatches, evaluation errors) stay per item.
-    whatif::WhatIfOptions row_options = engine_options;
-    row_options.use_columnar = false;
-    whatif::WhatIfEngine row_engine(world.db.get(), graph(), row_options);
-    std::vector<WhatIfBatchItem> items(interventions.size());
-    for (size_t i = 0; i < interventions.size(); ++i) {
-      const std::vector<whatif::UpdateSpec>& specs = interventions[i];
-      if (specs.size() != parsed.whatif->updates.size()) {
-        items[i].status =
-            Status::InvalidArgument("intervention arity mismatch");
-        continue;
-      }
-      bool shape_ok = true;
-      for (size_t j = 0; j < specs.size(); ++j) {
-        if (specs[j].attribute != parsed.whatif->updates[j].attribute) {
-          items[i].status = Status::InvalidArgument(
-              "intervention update attribute '" + specs[j].attribute +
-              "' does not match the base statement's '" +
-              parsed.whatif->updates[j].attribute + "'");
-          shape_ok = false;
-          break;
-        }
-        parsed.whatif->updates[j].func = specs[j].func;
-        parsed.whatif->updates[j].constant = specs[j].constant;
-      }
-      if (!shape_ok) continue;
-      auto result = row_engine.Run(*parsed.whatif);
-      if (result.ok()) {
-        items[i].result = std::move(result).value();
-      } else {
-        items[i].status = result.status();
-      }
-    }
-    return items;
-  }
+  HYPER_RETURN_NOT_OK(plan.status());
 
   std::vector<Status> statuses;
   HYPER_ASSIGN_OR_RETURN(

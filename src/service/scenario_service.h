@@ -204,7 +204,7 @@ class ScenarioService {
   /// the update attributes; interventions[i] supplies the i-th constants.
   /// results[i].result is bit-for-bit identical to submitting the
   /// corresponding single statement. Batch-level failures (unknown scenario,
-  /// unparsable base statement, a hard Prepare error) fail the call;
+  /// unparsable base statement, a Prepare error) fail the call;
   /// per-intervention failures land in results[i].status and the rest of
   /// the sweep still answers.
   Result<std::vector<WhatIfBatchItem>> SubmitWhatIfBatch(

@@ -6,8 +6,6 @@
 
 namespace hyper {
 
-namespace {
-
 bool TypeAccepts(ValueType declared, ValueType actual) {
   if (actual == ValueType::kNull) return true;
   if (declared == actual) return true;
@@ -17,8 +15,6 @@ bool TypeAccepts(ValueType declared, ValueType actual) {
   if (declared == ValueType::kDouble && actual == ValueType::kBool) return true;
   return false;
 }
-
-}  // namespace
 
 Status Table::Append(Row row) {
   if (row.size() != schema_.num_attributes()) {

@@ -13,6 +13,12 @@ namespace hyper {
 /// A row of values; position i corresponds to schema attribute i.
 using Row = std::vector<Value>;
 
+/// Whether a value of type `actual` may be stored in an attribute declared
+/// `declared`: NULL fits anywhere, and ints and bools widen to doubles (bools
+/// also to ints). Every checked write path (Table::Append, hypothetical
+/// branch updates) uses this one rule.
+bool TypeAccepts(ValueType declared, ValueType actual);
+
 /// In-memory row store for one relation.
 ///
 /// Rows are indexed by a dense tuple id (their position); the paper's tuple
@@ -27,8 +33,7 @@ class Table {
   const Schema& schema() const { return schema_; }
   size_t num_rows() const { return rows_.size(); }
 
-  /// Appends a row after checking arity and (loosely) types: NULL is allowed
-  /// anywhere, ints are accepted for double columns.
+  /// Appends a row after checking arity and types (see TypeAccepts).
   Status Append(Row row);
 
   /// Unchecked append for generators on hot paths.

@@ -559,7 +559,7 @@ void CollectHoles(const Expr& e,
 
 /// FoldExpr with the determined subtrees replaced by precomputed values.
 /// Mirrors FoldExpr exactly, so the residual for a tuple is identical to
-/// what the row path would fold.
+/// what the reference interpreter (RunReference) folds.
 ExprPtr FoldFromHoles(const Expr& expr,
                       const std::unordered_map<const Expr*, size_t>& hole_of,
                       const std::vector<Value>& hole_values) {
@@ -788,32 +788,25 @@ Result<WhatIfResult> WhatIfEngine::Run(const sql::WhatIfStmt& stmt) const {
   if (options_.exec_guard == nullptr) {
     ExecGuardPtr guard = ExecGuard::Arm(options_.budget, options_.cancel_token);
     if (guard != nullptr) {
-      // Re-enter with the armed guard injected so Prepare, Evaluate and the
-      // row fallback all observe one deadline and one pair of meters.
+      // Re-enter with the armed guard injected so Prepare and Evaluate
+      // observe one deadline and one pair of meters.
       WhatIfOptions governed = options_;
       governed.exec_guard = std::move(guard);
       return WhatIfEngine(db_, graph_, std::move(governed)).Run(stmt);
     }
   }
-  if (!options_.use_columnar) return RunRows(stmt);
   Stopwatch total_timer;
-  auto prepared = Prepare(stmt);
-  if (!prepared.ok()) {
-    // Shapes the columnar substrate cannot represent fall back to the row
-    // interpreter, exactly as the pre-split engine did.
-    if (prepared.status().code() == StatusCode::kUnimplemented) {
-      return RunRows(stmt);
-    }
-    return prepared.status();
-  }
+  HYPER_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedWhatIf> prepared,
+                         Prepare(stmt));
   HYPER_ASSIGN_OR_RETURN(WhatIfResult result,
-                         Evaluate(**prepared, SpecsOfStatement(stmt)));
-  result.prepare_seconds = (*prepared)->prepare_seconds();
+                         Evaluate(*prepared, SpecsOfStatement(stmt)));
+  result.prepare_seconds = prepared->prepare_seconds();
   result.total_seconds = total_timer.ElapsedSeconds();
   return result;
 }
 
-Result<WhatIfResult> WhatIfEngine::RunRows(const sql::WhatIfStmt& stmt) const {
+Result<WhatIfResult> WhatIfEngine::RunReference(
+    const sql::WhatIfStmt& stmt) const {
   Stopwatch total_timer;
   WhatIfResult result;
 
@@ -1189,7 +1182,6 @@ struct LearnStageData {
   /// post-update feature point whenever the update features and psi are
   /// row-constant). Lets a Set-update evaluation map affected rows to batch
   /// slots with one array read instead of hashing the point per row.
-  /// Computed only under vectorized_exec; empty otherwise.
   std::vector<uint32_t> residual_gid;
   uint32_t residual_groups = 0;
   std::vector<size_t> train_rows;
@@ -1255,7 +1247,7 @@ struct LearnStageData {
       // the sampled ones; on ineligible trees the per-row loop (which can
       // also surface evaluation errors) runs instead.
       std::vector<uint8_t> ind_mask;
-      if (options.vectorized_exec && exact->TryMaskKernel(&ind_mask)) {
+      if (exact->TryMaskKernel(&ind_mask)) {
         for (size_t i = 0; i < train_rows.size(); ++i) {
           ind[i] = ind_mask[train_rows[i]] != 0 ? 1.0 : 0.0;
         }
@@ -1303,9 +1295,6 @@ struct QueryStageData {
   /// PostImage::set_active and the SIMD mask kernels without conversion).
   std::vector<uint8_t> in_s;
   size_t updated = 0;
-  /// Snapshot of WhatIfOptions::vectorized_exec at build time; lazily-built
-  /// residual entries follow it so one stage never mixes paths.
-  bool vectorized = true;
 
   std::optional<relational::ColumnBoundExpr> out_eval;
   /// Per-row observed output values (pre image), precomputed once per
@@ -1381,7 +1370,7 @@ struct QueryStageData {
         // The mask kernel only fires on trees it can prove error-free, so
         // its 0/1 output is exactly the scalar tri-state without any 2s.
         const size_t n = built_on->cview.num_rows();
-        if (vectorized && e->exact->TryMaskKernel(&e->exact_vals)) {
+        if (e->exact->TryMaskKernel(&e->exact_vals)) {
           // done: exact_vals[r] == (EvalBool(r) ? 1 : 0) for every row.
         } else {
           e->exact_vals.resize(n);
@@ -1410,8 +1399,8 @@ struct PreparedWhatIf::Impl {
 // ---------------------------------------------------------------------------
 // Stage builders + keys. Each builder is a pure function of its key's
 // inputs; Prepare assembles a plan by running the four builders in
-// dependency order, consulting the StageContext's stage cache when staged
-// prepare is on. Keys use the same injective length-prefixed field encoding
+// dependency order, consulting the StageContext's stage cache when it
+// carries one. Keys use the same injective length-prefixed field encoding
 // as the plan-cache key.
 // ---------------------------------------------------------------------------
 
@@ -1503,15 +1492,10 @@ Result<std::shared_ptr<const ScopeStageData>> BuildScopeStage(
     }
   }
   if (!patched) {
-    // Columnar image of the view. Shapes the substrate cannot represent (a
-    // column mixing strings with numbers) surface as Unimplemented so Run
-    // and the scenario service fall back to the row interpreter.
-    auto cview_result = ColumnTable::FromTable(*vi.view);
-    if (!cview_result.ok()) {
-      return Status::Unimplemented("columnar image unavailable: " +
-                                   cview_result.status().message());
-    }
-    stage->cview = std::move(cview_result).value();
+    // Columnar image of the view. A column mixing strings with numbers
+    // (reachable only through Table::AppendUnchecked) fails here with
+    // InvalidArgument naming the column.
+    HYPER_ASSIGN_OR_RETURN(stage->cview, ColumnTable::FromTable(*vi.view));
   }
   const Schema& vschema = vi.view->schema();
   stage->scope = {relational::ScopedTuple{vschema.relation_name(), &vschema}};
@@ -1584,15 +1568,14 @@ Result<std::shared_ptr<const LearnStageData>> BuildLearnStage(
   }
 
   // psi prep: link groups and pre-update sums, accumulated in row order
-  // (bit-identical to the row path).
+  // (bit-identical to the reference interpreter).
   stage->psi.resize(psi_specs.size());
   for (size_t p = 0; p < psi_specs.size(); ++p) {
     const WhatIfPlan::PsiSpec& spec = psi_specs[p];
     const Column& bc = cview.col(plan.update_cols[spec.update_index]);
     LearnStageData::PsiPrep& prep = stage->psi[p];
     prep.pre_b.resize(n);
-    if (options.vectorized_exec && !bc.has_nulls() &&
-        bc.kind != ColumnKind::kCode) {
+    if (!bc.has_nulls() && bc.kind != ColumnKind::kCode) {
       // Bulk typed widening — value-for-value what ReadColumnDouble returns
       // on a null-free numeric column.
       switch (bc.kind) {
@@ -1681,7 +1664,7 @@ Result<std::shared_ptr<const LearnStageData>> BuildLearnStage(
   // row's batch slot from its group id instead of hashing the full feature
   // point per row; byte equality here is exactly the memcmp the per-row
   // dedup applies, so the slot assignment is identical.
-  if (options.vectorized_exec) {
+  {
     const size_t first = q.updates.size();
     stage->residual_gid.resize(n);
     std::unordered_map<uint64_t, std::vector<uint32_t>> gid_of_hash;
@@ -1774,7 +1757,7 @@ Result<std::shared_ptr<const LearnStageData>> BuildLearnStage(
     // error an eligible tree can raise), fall back to the per-row loop so
     // the build fails with exactly the scalar path's error and ordering.
     bool done = false;
-    if (options.vectorized_exec) {
+    {
       std::vector<double> all;
       std::vector<uint8_t> err;
       if (be.TryEvalDoubleKernel(&all, &err)) {
@@ -1805,11 +1788,10 @@ Result<std::shared_ptr<const LearnStageData>> BuildLearnStage(
 
 Result<std::shared_ptr<const QueryStageData>> BuildQueryStage(
     std::shared_ptr<const ScopeStageData> scope_stage, CompiledWhatIf q,
-    const CausalStageData& causal, const ExecGuard* guard, bool vectorized) {
+    const CausalStageData& causal, const ExecGuard* guard) {
   auto stage = std::make_shared<QueryStageData>();
   stage->built_on = scope_stage;
   stage->q = std::move(q);
-  stage->vectorized = vectorized;
   const ColumnTable& cview = scope_stage->cview;
   const size_t n = cview.num_rows();
   if (guard != nullptr) {
@@ -1839,8 +1821,7 @@ Result<std::shared_ptr<const QueryStageData>> BuildQueryStage(
     // kernel only fires on trees whose sole reachable error is division by
     // zero, and it reports exactly those rows in out_err, so both paths
     // produce identical (out_all, out_err) pairs.
-    if (!vectorized ||
-        !stage->out_eval->TryEvalDoubleKernel(&stage->out_all,
+    if (!stage->out_eval->TryEvalDoubleKernel(&stage->out_all,
                                               &stage->out_err)) {
       stage->out_all.assign(n, 0.0);
       stage->out_err.assign(n, 0);
@@ -1887,8 +1868,8 @@ Result<std::shared_ptr<const QueryStageData>> BuildQueryStage(
   return std::shared_ptr<const QueryStageData>(std::move(stage));
 }
 
-/// GetOrBuild through the context's stage cache when staged prepare is
-/// active, a plain build otherwise. `built` accrues per-call factory runs.
+/// GetOrBuild through the context's stage cache when `staged`, a plain
+/// build otherwise.
 template <typename T, typename Factory>
 Result<std::shared_ptr<const T>> StagedOrFresh(const StageContext* ctx,
                                                bool staged, StageKind kind,
@@ -1914,16 +1895,11 @@ PreparedWhatIf::~PreparedWhatIf() = default;
 
 Result<std::shared_ptr<const PreparedWhatIf>> WhatIfEngine::Prepare(
     const sql::WhatIfStmt& stmt, const StageContext* ctx) const {
-  if (!options_.use_columnar) {
-    return Status::Unimplemented(
-        "Prepare requires the columnar path (use_columnar = true)");
-  }
   if (stmt.updates.empty()) {
     return Status::InvalidArgument("what-if query requires an Update clause");
   }
   Stopwatch prep_timer;
-  const bool staged =
-      ctx != nullptr && ctx->stages != nullptr && options_.staged_prepare;
+  const bool staged = ctx != nullptr && ctx->stages != nullptr;
   const std::string& update_attr0 = stmt.updates[0].attribute;
   HYPER_ASSIGN_OR_RETURN(std::string update_relation,
                          db_->RelationOfAttribute(update_attr0));
@@ -2061,7 +2037,7 @@ Result<std::shared_ptr<const PreparedWhatIf>> WhatIfEngine::Prepare(
       (StagedOrFresh<QueryStageData>(
           ctx, staged, StageKind::kQuery, query_key, [&] {
             return BuildQueryStage(scope_stage, std::move(q), *causal_stage,
-                                   guard.get(), options_.vectorized_exec);
+                                   guard.get());
           })));
 
   // --- assembly ------------------------------------------------------------
@@ -2086,12 +2062,10 @@ namespace {
 
 /// The per-intervention fifth of a what-if run, against a prepared plan.
 /// `block_threads` shards the block loop (1 inside batch fan-out to avoid
-/// oversubscription); `batched` is the serving engine's batched_inference
-/// choice (a plan can serve both A/B arms). The answer is identical for
-/// every setting of either knob.
+/// oversubscription); the answer is identical for every setting.
 Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
                                       const std::vector<UpdateSpec>& updates,
-                                      size_t block_threads, bool batched,
+                                      size_t block_threads,
                                       const ExecGuard* guard) {
   Stopwatch eval_timer;
   WhatIfResult result;
@@ -2154,8 +2128,7 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
     if (updated > 0) {
       HYPER_ASSIGN_OR_RETURN(double c, u.constant.AsDouble());
       const Column& col = cview.col(update_cols[j]);
-      if (qs.vectorized && !col.has_nulls() &&
-          col.kind != ColumnKind::kCode) {
+      if (!col.has_nulls() && col.kind != ColumnKind::kCode) {
         // Null-free numeric column: widen once, then a branch-free select.
         // Rows outside S keep the 0.0 the assign above wrote, exactly like
         // the skipping loop below.
@@ -2272,7 +2245,7 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
   // intervention) share one prediction slot, since estimators are pure
   // functions of the point. One PredictBatch per estimator then covers the
   // distinct points; the block loop just reads its row's slot. Predictions
-  // (and the fold order) are bit-for-bit those of the per-row path.
+  // (and the fold order) are bit-for-bit those of per-row prediction.
   struct EntryBatch {
     std::vector<double> feat;  // row-major distinct points, dims wide
     uint32_t count = 0;        // distinct points
@@ -2281,7 +2254,7 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
     std::vector<double> weights, values;  // per slot
   };
   std::vector<EntryBatch> batches;
-  std::vector<uint32_t> slot_of_row(batched ? n : 0);
+  std::vector<uint32_t> slot_of_row(n);
 
   // Pass A (sequential): resolve each row to its residual entry, make sure
   // the pattern estimators needed by affected rows are trained, and gather
@@ -2292,10 +2265,8 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
   double train_seconds = 0.0;
   // Row-invariant holes (constant thresholds, or no For predicate at all):
   // every row folds to the same residual, so resolve the shared entry once
-  // and skip the per-row hole evaluation + cache lookup entirely. Gated on
-  // batched_inference: the flag-off path faithfully reproduces the legacy
-  // per-row evaluation loop for A/B measurement.
-  const bool uniform = qs.holes_row_invariant && batched;
+  // and skip the per-row hole evaluation + cache lookup entirely.
+  const bool uniform = qs.holes_row_invariant;
   const bool all_set = [&] {
     for (const UpdatePost& u : upost) {
       if (!u.is_set) return false;
@@ -2306,8 +2277,7 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
   // row-order pass in Pass B below — the per-block merge in block order IS
   // a row-order fold there, so the per-block accumulator, partial, and
   // status arrays are pure overhead (one heap pair + Status per tuple).
-  const bool flat_blocks =
-      qs.vectorized && ca.identity_blocks && block_threads <= 1;
+  const bool flat_blocks = ca.identity_blocks && block_threads <= 1;
   // Fast Pass A for the common serving shape — row-invariant holes, Set
   // updates only, no psi features: every affected row's post-update point
   // is (constant set features) ++ (its non-update feature bytes), so the
@@ -2315,8 +2285,7 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
   // map to batch slots with one array read; the slots, the gathered feature
   // points, and their order are identical to the hashing loop in the else
   // branch below (first appearance in row order, byte equality).
-  const bool fast_pass_a = uniform && all_set && psi_specs.empty() &&
-                           qs.vectorized && !le.residual_gid.empty();
+  const bool fast_pass_a = uniform && all_set && psi_specs.empty();
   // A flat uniform Pass B reads the shared entry directly, so the fast
   // Pass A can skip both the entry map and its n-slot zeroed allocation.
   std::vector<uint32_t> entry_of_row(fast_pass_a && flat_blocks ? 0 : n);
@@ -2438,7 +2407,6 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
       pattern_of_entry[id] = pat;
       if (used_patterns.insert(pat).second && was_cached) ++pattern_hits;
     }
-    if (!batched) continue;
     const PatternEstimators* pat = pattern_of_entry[id];
     if (pat->weight == nullptr && pat->value == nullptr) continue;
     if (id >= batches.size()) batches.resize(id + 1);
@@ -2470,20 +2438,18 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
 
   // Batched inference: one PredictBatch per (pattern, estimator) over the
   // distinct feature points collected above.
-  if (batched) {
-    for (uint32_t id = 0; id < batches.size(); ++id) {
-      EntryBatch& eb = batches[id];
-      if (eb.count == 0) continue;
-      const PatternEstimators* pat = pattern_of_entry[id];
-      const learn::FeatureMatrix points(dims, std::move(eb.feat));
-      if (pat->weight != nullptr) {
-        eb.weights.resize(points.num_rows());
-        pat->weight->PredictBatch(points, eb.weights);
-      }
-      if (pat->value != nullptr) {
-        eb.values.resize(points.num_rows());
-        pat->value->PredictBatch(points, eb.values);
-      }
+  for (uint32_t id = 0; id < batches.size(); ++id) {
+    EntryBatch& eb = batches[id];
+    if (eb.count == 0) continue;
+    const PatternEstimators* pat = pattern_of_entry[id];
+    const learn::FeatureMatrix points(dims, std::move(eb.feat));
+    if (pat->weight != nullptr) {
+      eb.weights.resize(points.num_rows());
+      pat->weight->PredictBatch(points, eb.weights);
+    }
+    if (pat->value != nullptr) {
+      eb.values.resize(points.num_rows());
+      pat->value->PredictBatch(points, eb.values);
     }
   }
 
@@ -2510,7 +2476,6 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
     LoopCheck block_check(guard);
     prob::BlockAccumulator bacc(q.output_agg);
     bacc.BeginBlock();
-    std::vector<double> x(batched ? 0 : dims);
     for (size_t r : block_rows[b]) {
       if (block_check.Due()) {
         HYPER_RETURN_NOT_OK(guard->Check("whatif.eval.blocks"));
@@ -2525,15 +2490,8 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
         // tri-state error marks reproduce the per-row error exactly.
         bool qualifies = e.literal_value;
         if (!e.is_literal) {
-          if (batched && !e.exact_vals.empty()) {
-            const uint8_t v = e.exact_vals[r];
-            if (v == 2) {
-              auto qr = e.exact->EvalBool(r);
-              if (!qr.ok()) return qr.status();
-              qualifies = *qr;
-            } else {
-              qualifies = v != 0;
-            }
+          if (!e.exact_vals.empty() && e.exact_vals[r] != 2) {
+            qualifies = e.exact_vals[r] != 0;
           } else {
             auto qr = e.exact->EvalBool(r);
             if (!qr.ok()) return qr.status();
@@ -2543,7 +2501,7 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
         if (!qualifies) continue;
         double value = 0.0;
         if (qs.out_eval.has_value()) {
-          if (!batched || qs.out_err[r]) {
+          if (qs.out_err[r]) {
             auto vr = qs.out_eval->Eval(r);
             if (!vr.ok()) return vr.status();
             auto dr = vr->AsDouble();
@@ -2559,21 +2517,12 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
 
       // Affected tuple: estimate at the post-update feature point.
       const PatternEstimators* pat = pattern_of_entry[id];
-      double weight = 0.0, weighted_value = 0.0;
-      if (batched) {
-        weight = pat->literal ? (pat->literal_value ? 1.0 : 0.0)
-                              : Clamp01(batches[id].weights[slot_of_row[r]]);
-        if (weight <= 0.0) continue;
-        if (pat->value != nullptr) {
-          weighted_value = batches[id].values[slot_of_row[r]];
-        }
-      } else {
-        emit_features(r, x.data());
-        weight = pat->literal ? (pat->literal_value ? 1.0 : 0.0)
-                              : Clamp01(pat->weight->Predict(x));
-        if (weight <= 0.0) continue;
-        if (pat->value != nullptr) weighted_value = pat->value->Predict(x);
-      }
+      const double weight =
+          pat->literal ? (pat->literal_value ? 1.0 : 0.0)
+                       : Clamp01(batches[id].weights[slot_of_row[r]]);
+      if (weight <= 0.0) continue;
+      const double weighted_value =
+          pat->value != nullptr ? batches[id].values[slot_of_row[r]] : 0.0;
       bacc.Add(weight, weighted_value);
     }
     bacc.EndBlock();
@@ -2605,7 +2554,7 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
     const bool table_disqualified =
         uniform && ue->is_literal && !ue->literal_value;
     const bool turbo_count =
-        uniform && batched && !table_disqualified && psi_specs.empty() &&
+        uniform && !table_disqualified && psi_specs.empty() &&
         q.output_agg == sql::AggKind::kCount && !ue->is_literal &&
         !ue->exact_vals.empty() && upat != nullptr && !upat->literal &&
         upat->weight != nullptr && uniform_id < batches.size() &&
@@ -2642,7 +2591,6 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
         }
       }
     } else {
-    std::vector<double> x(batched ? 0 : dims);
     for (size_t r = 0; r < n; ++r) {
       if (guard != nullptr && (r & 63) == 0) {
         HYPER_RETURN_NOT_OK(guard->Check("whatif.eval.blocks"));
@@ -2658,13 +2606,8 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
       if (!affected) {
         bool qualifies = e.literal_value;
         if (!e.is_literal) {
-          if (batched && !e.exact_vals.empty()) {
-            const uint8_t v = e.exact_vals[r];
-            if (v == 2) {
-              HYPER_ASSIGN_OR_RETURN(qualifies, e.exact->EvalBool(r));
-            } else {
-              qualifies = v != 0;
-            }
+          if (!e.exact_vals.empty() && e.exact_vals[r] != 2) {
+            qualifies = e.exact_vals[r] != 0;
           } else {
             HYPER_ASSIGN_OR_RETURN(qualifies, e.exact->EvalBool(r));
           }
@@ -2672,7 +2615,7 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
         if (!qualifies) continue;
         double value = 0.0;
         if (qs.out_eval.has_value()) {
-          if (!batched || qs.out_err[r]) {
+          if (qs.out_err[r]) {
             HYPER_ASSIGN_OR_RETURN(relational::Scalar vs, qs.out_eval->Eval(r));
             HYPER_ASSIGN_OR_RETURN(value, vs.AsDouble());
           } else {
@@ -2683,19 +2626,11 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
         weighted_value = value;
       } else {
         const PatternEstimators* pat = pattern_of_entry[id];
-        if (batched) {
-          weight = pat->literal ? (pat->literal_value ? 1.0 : 0.0)
-                                : Clamp01(batches[id].weights[slot_of_row[r]]);
-          if (weight <= 0.0) continue;
-          if (pat->value != nullptr) {
-            weighted_value = batches[id].values[slot_of_row[r]];
-          }
-        } else {
-          emit_features(r, x.data());
-          weight = pat->literal ? (pat->literal_value ? 1.0 : 0.0)
-                                : Clamp01(pat->weight->Predict(x));
-          if (weight <= 0.0) continue;
-          if (pat->value != nullptr) weighted_value = pat->value->Predict(x);
+        weight = pat->literal ? (pat->literal_value ? 1.0 : 0.0)
+                              : Clamp01(batches[id].weights[slot_of_row[r]]);
+        if (weight <= 0.0) continue;
+        if (pat->value != nullptr) {
+          weighted_value = batches[id].values[slot_of_row[r]];
         }
       }
       switch (q.output_agg) {
@@ -2758,8 +2693,7 @@ Result<WhatIfResult> WhatIfEngine::Evaluate(
     const PreparedWhatIf& plan, const std::vector<UpdateSpec>& updates) const {
   const size_t threads = ThreadPool::ResolveBudget(options_.num_threads);
   const ExecGuardPtr guard = GuardFor(options_);
-  return EvaluatePrepared(*plan.impl_, updates, threads,
-                          options_.batched_inference, guard.get());
+  return EvaluatePrepared(*plan.impl_, updates, threads, guard.get());
 }
 
 Result<std::vector<WhatIfResult>> WhatIfEngine::EvaluateBatch(
@@ -2786,7 +2720,7 @@ Result<std::vector<WhatIfResult>> WhatIfEngine::EvaluateBatch(
       }
     }
     auto r = EvaluatePrepared(*plan.impl_, interventions[i], item_threads,
-                              options_.batched_inference, guard.get());
+                              guard.get());
     if (!r.ok()) {
       item_status[i] = r.status();
     } else {

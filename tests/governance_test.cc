@@ -468,18 +468,16 @@ TEST_F(GovernanceTest, DrainRejectsNewAndQueuedRequests) {
 
 // --- fault-injection matrix ------------------------------------------------
 
-// The full workload mix: cold + warm what-ifs, an Avg(Post(...)), a
-// forced row-interpreter run, a how-to scoring pass, and a what-if batch
-// sweep — together they visit every governance checkpoint in the engine.
+// The full workload mix: cold + warm what-ifs, an Avg(Post(...)), a how-to
+// scoring pass, and a what-if batch sweep — together they visit every
+// governance checkpoint a served request can reach. (The reference
+// interpreter's "whatif.run_rows" is not servable; see
+// ReferenceInterpreterAbortsTyped.)
 std::vector<service::Response> RunWorkload(service::ScenarioService& service) {
   std::vector<service::Response> responses;
   responses.push_back(service.Submit({"main", kQuery, {}}));
   responses.push_back(service.Submit({"main", kQuery, {}}));  // warm
   responses.push_back(service.Submit({"main", kAvgQuery, {}}));
-  whatif::WhatIfOptions row_options;
-  row_options.estimator = learn::EstimatorKind::kFrequency;
-  row_options.use_columnar = false;  // exercises the whatif.run_rows path
-  responses.push_back(service.Submit({"main", kQuery, row_options}));
   responses.push_back(service.Submit({"main", kHowToQuery, {}}));
 
   std::vector<std::vector<whatif::UpdateSpec>> interventions;
@@ -533,7 +531,7 @@ TEST_F(GovernanceTest, FaultInjectionMatrixAbortsCleanlyAtEveryCheckpoint) {
        {"whatif.prepare.scope", "whatif.prepare.causal",
         "whatif.prepare.learn", "whatif.prepare.query", "whatif.train",
         "whatif.eval.rows", "whatif.eval.blocks", "whatif.eval.batch",
-        "whatif.run_rows", "howto.score"}) {
+        "howto.score"}) {
     EXPECT_NE(checkpoints.end(),
               std::find(checkpoints.begin(), checkpoints.end(), expected))
         << "workload no longer reaches checkpoint " << expected;
@@ -603,6 +601,46 @@ TEST_F(GovernanceTest, FaultInjectionMatrixAbortsCleanlyAtEveryCheckpoint) {
       EXPECT_EQ(stats.completed, stats.admitted);
     }
   }
+}
+
+// The reference interpreter is governed like the serving path: an injected
+// fault at its checkpoint, an expired deadline and an exhausted row budget
+// each abort with a typed status, and an ungoverned call afterwards answers
+// bit-equal to Run.
+TEST_F(GovernanceTest, ReferenceInterpreterAbortsTyped) {
+  auto stmt = sql::ParseSql(kQuery);
+  ASSERT_TRUE(stmt.ok() && stmt->whatif != nullptr);
+  const sql::WhatIfStmt& whatif = *stmt->whatif;
+  {
+    std::lock_guard<std::mutex> lock(g_hook_mu);
+    g_abort_checkpoint = "whatif.run_rows";
+  }
+  g_abort_hits = 0;
+  {
+    HookGuard hook(&AbortHook);
+    whatif::WhatIfEngine engine(&db_, &graph_, EngineOptions());
+    auto aborted = engine.RunReference(whatif);
+    EXPECT_EQ(StatusCode::kResourceExhausted, aborted.status().code())
+        << aborted.status();
+  }
+  EXPECT_GT(g_abort_hits.load(), 0u);
+
+  whatif::WhatIfOptions expired = EngineOptions();
+  expired.budget.deadline_seconds = 1e-9;
+  auto late = whatif::WhatIfEngine(&db_, &graph_, expired).RunReference(whatif);
+  EXPECT_EQ(StatusCode::kDeadlineExceeded, late.status().code())
+      << late.status();
+
+  whatif::WhatIfOptions tiny = EngineOptions();
+  tiny.budget.max_rows_touched = 1;
+  auto over = whatif::WhatIfEngine(&db_, &graph_, tiny).RunReference(whatif);
+  EXPECT_EQ(StatusCode::kResourceExhausted, over.status().code())
+      << over.status();
+
+  whatif::WhatIfEngine engine(&db_, &graph_, EngineOptions());
+  auto reference = engine.RunReference(whatif);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  EXPECT_EQ(FreshRun(kQuery), reference->value);
 }
 
 // --- deadline stress -------------------------------------------------------

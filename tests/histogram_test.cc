@@ -328,6 +328,8 @@ TEST(ForestThreadsTest, ExplicitBudgetOverridesWorkHeuristic) {
 namespace hyper::whatif {
 namespace {
 
+// The reference interpreter predicts one row at a time, so it pins the
+// batched (deduplicated PredictBatch) inference of Evaluate bit-for-bit.
 TEST(EngineBatchedInferenceTest, BitIdenticalToPerRowPath) {
   data::GermanOptions gopt;
   gopt.rows = 1500;
@@ -341,12 +343,9 @@ TEST(EngineBatchedInferenceTest, BitIdenticalToPerRowPath) {
     WhatIfOptions options;
     options.estimator = kind;
     options.forest.num_trees = 6;
-    options.batched_inference = true;
-    WhatIfEngine batched(&ds.db, &ds.graph, options);
-    options.batched_inference = false;
-    WhatIfEngine per_row(&ds.db, &ds.graph, options);
-    const double a = batched.Run(*stmt.whatif).value().value;
-    const double b = per_row.Run(*stmt.whatif).value().value;
+    WhatIfEngine engine(&ds.db, &ds.graph, options);
+    const double a = engine.Run(*stmt.whatif).value().value;
+    const double b = engine.RunReference(*stmt.whatif).value().value;
     ASSERT_EQ(std::memcmp(&a, &b, sizeof(double)), 0)
         << learn::EstimatorKindName(kind) << ": " << a << " vs " << b;
   }

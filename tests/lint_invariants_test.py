@@ -29,6 +29,7 @@ def main():
         ("whatif/fail_steady_clock.cc", "steady-clock"),
         ("whatif/fail_raw_atomic.cc", "raw-atomic-partition"),
         ("fail_void_cast.cc", "void-cast"),
+        ("whatif/fail_reference_only.cc", "reference-only"),
     ]
     failures = []
 
@@ -45,7 +46,7 @@ def main():
 
     for rel in ("pass_cache_key.h", "service/pass_unordered_iter.cc",
                 "whatif/pass_steady_clock.cc", "whatif/pass_raw_atomic.cc",
-                "pass_void_cast.cc"):
+                "pass_void_cast.cc", "whatif/pass_reference_only.cc"):
         r = run_linter(repo, os.path.join(fixtures, rel))
         if r.returncode != 0:
             failures.append(f"{rel}: expected clean, got exit "

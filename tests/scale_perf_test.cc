@@ -2,10 +2,10 @@
 
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/simd.h"
-#include "common/thread_pool.h"
 #include "data/datasets.h"
 #include "relational/compiled.h"
 #include "sql/ast.h"
@@ -27,21 +27,14 @@ namespace {
 
 constexpr size_t kRows = 100000;
 
-/// Restores the process-wide execution knobs (SIMD force-scalar flag and
-/// scheduling mode) that the legacy arm flips.
+/// Restores the process-wide SIMD force-scalar flag the scalar arms flip.
 class ScopedExecutionKnobs {
  public:
-  ScopedExecutionKnobs()
-      : saved_scalar_(simd::ForceScalar()),
-        saved_mode_(CurrentSchedulingMode()) {}
-  ~ScopedExecutionKnobs() {
-    simd::SetForceScalar(saved_scalar_);
-    SetSchedulingMode(saved_mode_);
-  }
+  ScopedExecutionKnobs() : saved_scalar_(simd::ForceScalar()) {}
+  ~ScopedExecutionKnobs() { simd::SetForceScalar(saved_scalar_); }
 
  private:
   bool saved_scalar_;
-  SchedulingMode saved_mode_;
 };
 
 data::Dataset MakeGerman() {
@@ -52,10 +45,10 @@ data::Dataset MakeGerman() {
   return std::move(ds).value();
 }
 
-// The pre-PR execution configuration: per-row expression loops, scalar SIMD
-// level, static shards. Any divergence from the vectorized default is a
-// correctness bug, not a perf regression.
-TEST(ScalePerfTest, WhatIfLegacyVsVectorizedBitEqualAt100k) {
+// The default path (SIMD kernels, morsel scheduling, any thread budget) must
+// match both the reference row interpreter and a forced-scalar 1-thread run.
+// Any divergence is a correctness bug, not a perf regression.
+TEST(ScalePerfTest, WhatIfReferenceVsVectorizedBitEqualAt100k) {
   ScopedExecutionKnobs knobs;
   auto ds = MakeGerman();
   auto stmt = sql::ParseSql(
@@ -63,31 +56,32 @@ TEST(ScalePerfTest, WhatIfLegacyVsVectorizedBitEqualAt100k) {
   ASSERT_TRUE(stmt.ok()) << stmt.status();
   ASSERT_NE(stmt->whatif, nullptr);
 
-  const auto run = [&](bool vectorized, size_t threads) {
+  const auto engine_at = [&](size_t threads) {
     whatif::WhatIfOptions options;
     options.estimator = learn::EstimatorKind::kFrequency;
     options.num_threads = threads;
-    options.vectorized_exec = vectorized;
-    if (!vectorized) {
-      simd::SetForceScalar(true);
-      SetSchedulingMode(SchedulingMode::kStatic);
-    } else {
-      simd::SetForceScalar(false);
-      SetSchedulingMode(SchedulingMode::kMorsel);
-    }
-    whatif::WhatIfEngine engine(&ds.db, &ds.graph, options);
-    auto result = engine.Run(*stmt->whatif);
+    return whatif::WhatIfEngine(&ds.db, &ds.graph, options);
+  };
+  const auto value_of = [](const Result<whatif::WhatIfResult>& result) {
     EXPECT_TRUE(result.ok()) << result.status();
     return result.ok() ? result->value : 0.0;
   };
+  const auto expect_bits = [](double got, double want, const char* arm) {
+    uint64_t g = 0, w = 0;
+    std::memcpy(&g, &got, sizeof(g));
+    std::memcpy(&w, &want, sizeof(w));
+    EXPECT_EQ(g, w) << arm;
+  };
 
-  const double legacy = run(/*vectorized=*/false, /*threads=*/1);
+  const double reference = value_of(engine_at(1).RunReference(*stmt->whatif));
+  simd::SetForceScalar(true);
+  expect_bits(value_of(engine_at(1).Run(*stmt->whatif)), reference,
+              "forced-scalar, 1 thread");
+  simd::SetForceScalar(false);
   for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    const double vectorized = run(/*vectorized=*/true, threads);
-    uint64_t got = 0, want = 0;
-    std::memcpy(&got, &vectorized, sizeof(got));
-    std::memcpy(&want, &legacy, sizeof(want));
-    ASSERT_EQ(got, want) << "threads=" << threads;
+    const std::string arm = "threads=" + std::to_string(threads);
+    expect_bits(value_of(engine_at(threads).Run(*stmt->whatif)), reference,
+                arm.c_str());
   }
 }
 

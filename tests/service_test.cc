@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <filesystem>
 #include <thread>
 
 #include "data/datasets.h"
@@ -218,6 +220,63 @@ TEST_F(ServiceTest, BranchManagementErrors) {
   auto bad = service->ApplyHypotheticalSql(
       "main", "Use German Update(Age) = 1 Output Count(*)");
   EXPECT_FALSE(bad.ok());
+}
+
+// A hypothetical write is type-checked against the attribute's declared
+// type (the rule Table::Append enforces): a string into the int column
+// Housing fails before anything is journaled or applied, so the branch
+// never holds a column no columnar image can represent.
+TEST_F(ServiceTest, IllTypedHypotheticalIsRejectedWithoutSideEffects) {
+  char dir_template[] = "/tmp/hyper_service_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir_template), nullptr);
+  const std::string data_dir = dir_template;
+  {
+    ServiceOptions options;
+    options.whatif = EngineOptions(whatif::BackdoorMode::kGraph,
+                                   learn::EstimatorKind::kFrequency);
+    options.num_threads = 1;
+    options.data_dir = data_dir;
+    options.wal_fsync = durability::FsyncPolicy::kAlways;
+    options.snapshot_every_records = 0;
+    ScenarioService service(db_, graph_, options);
+    ASSERT_TRUE(service.recovery_status().ok()) << service.recovery_status();
+    ASSERT_TRUE(service.CreateScenario("b").ok());
+    auto info_of_b = [&] {
+      for (const ScenarioInfo& info : service.ListScenarios()) {
+        if (info.name == "b") return info;
+      }
+      ADD_FAILURE() << "branch b missing";
+      return ScenarioInfo{};
+    };
+    const ScenarioInfo before = info_of_b();
+    auto world_before = service.EffectiveDatabase("b");
+    ASSERT_TRUE(world_before.ok());
+    const uint64_t appends_before = service.wal_stats().appends;
+
+    auto bad = service.ApplyHypotheticalSql(
+        "b", "Use German When Age = 1 Update(Housing) = 'abc' "
+             "Output Count(*)");
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(StatusCode::kInvalidArgument, bad.status().code());
+    const std::string& msg = bad.status().message();
+    EXPECT_NE(msg.find("Housing"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("type STRING"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("declared INT"), std::string::npos) << msg;
+
+    const ScenarioInfo after = info_of_b();
+    EXPECT_EQ(before.updates_applied, after.updates_applied);
+    EXPECT_EQ(before.overridden_cells, after.overridden_cells);
+    EXPECT_EQ(before.delta_fingerprint, after.delta_fingerprint);
+    auto world_after = service.EffectiveDatabase("b");
+    ASSERT_TRUE(world_after.ok());
+    EXPECT_EQ(world_before->get(), world_after->get());  // same version
+    EXPECT_EQ(appends_before, service.wal_stats().appends);
+
+    // The branch still serves queries that read the attribute.
+    Response r = service.Submit({"b", kAvgQuery, {}});
+    EXPECT_TRUE(r.ok()) << r.status;
+  }
+  std::filesystem::remove_all(data_dir);
 }
 
 TEST_F(ServiceTest, EmptyHypotheticalKeepsCachedPlans) {
@@ -528,38 +587,58 @@ TEST_F(ServiceTest, SubmitWhatIfBatchReportsPerItemFailures) {
 
 // --- how-to through shared plans ------------------------------------------
 
-TEST_F(ServiceTest, HowToSharedPlansBitEqualToLegacyPath) {
-  const std::string stmt_text =
-      "Use German HowToUpdate Status ToMaximize Count(Credit = 1)";
+// Shared-plan scoring (one prepared plan per attribute, Evaluate per
+// candidate) is bit-identical to a fresh Run of each candidate's statement.
+TEST_F(ServiceTest, HowToSharedPlansBitEqualToFreshRuns) {
+  auto parsed = sql::ParseSql(
+      "Use German HowToUpdate Status ToMaximize Count(Credit = 1)");
+  ASSERT_TRUE(parsed.ok() && parsed->howto != nullptr);
+  const sql::HowToStmt& stmt = *parsed->howto;
   for (learn::EstimatorKind estimator :
        {learn::EstimatorKind::kFrequency, learn::EstimatorKind::kForest}) {
-    howto::HowToOptions legacy;
-    legacy.whatif = EngineOptions(whatif::BackdoorMode::kGraph, estimator);
-    legacy.share_plans = false;
-    howto::HowToOptions shared = legacy;
-    shared.share_plans = true;
-
-    howto::HowToEngine legacy_engine(&db_, &graph_, legacy);
-    howto::HowToEngine shared_engine(&db_, &graph_, shared);
-    auto a = legacy_engine.RunSql(stmt_text);
-    auto b = shared_engine.RunSql(stmt_text);
-    ASSERT_TRUE(a.ok()) << a.status();
+    howto::HowToOptions options;
+    options.whatif = EngineOptions(whatif::BackdoorMode::kGraph, estimator);
+    auto b = howto::HowToEngine(&db_, &graph_, options).Run(stmt);
     ASSERT_TRUE(b.ok()) << b.status();
+    ASSERT_FALSE(b->candidates.empty());
+    ASSERT_FALSE(b->candidates[0].empty());
 
-    EXPECT_EQ(a->baseline_value, b->baseline_value);
-    EXPECT_EQ(a->objective_value, b->objective_value);
-    EXPECT_EQ(a->PlanToString(), b->PlanToString());
-    ASSERT_EQ(a->candidates.size(), b->candidates.size());
-    for (size_t i = 0; i < a->candidates.size(); ++i) {
-      ASSERT_EQ(a->candidates[i].size(), b->candidates[i].size());
-      for (size_t j = 0; j < a->candidates[i].size(); ++j) {
-        EXPECT_EQ(a->candidates[i][j].objective_value,
-                  b->candidates[i][j].objective_value);
+    const whatif::WhatIfEngine fresh(&db_, &graph_, options.whatif);
+    auto fresh_value = [&](const sql::WhatIfStmt& ws) {
+      auto r = fresh.Run(ws);
+      EXPECT_TRUE(r.ok()) << r.status();
+      return r.ok() ? r->value : 0.0;
+    };
+    // The baseline is the no-op what-if: any Set update under When false.
+    whatif::UpdateSpec noop = b->candidates[0][0].spec;
+    noop.func = sql::UpdateFuncKind::kSet;
+    sql::WhatIfStmt baseline = howto::MakeCandidateWhatIf(stmt, {noop});
+    baseline.when = sql::MakeLiteral(Value::Bool(false));
+    const double fresh_baseline = fresh_value(baseline);
+    EXPECT_EQ(fresh_baseline, b->baseline_value);
+
+    for (const auto& per_attribute : b->candidates) {
+      for (const howto::CandidateUpdate& cu : per_attribute) {
+        ASSERT_FALSE(cu.pruned);
+        const double v = fresh_value(howto::MakeCandidateWhatIf(stmt, {cu.spec}));
+        EXPECT_EQ(v, cu.objective_value) << cu.spec.constant.ToString();
+        EXPECT_EQ(v - fresh_baseline, cu.delta);
       }
+    }
+    // The chosen plan's delta is its candidate's delta, so the reported
+    // objective follows from the fresh answers above.
+    for (const howto::AttributeChoice& choice : b->plan) {
+      if (!choice.changed) continue;
+      bool found = false;
+      for (const howto::CandidateUpdate& cu : b->candidates[0]) {
+        if (!cu.spec.constant.Equals(choice.update.constant)) continue;
+        EXPECT_EQ(cu.delta, choice.delta);
+        found = true;
+      }
+      EXPECT_TRUE(found) << choice.ToString();
     }
     // The shared path actually shared: estimators were reused across
     // candidates instead of retrained.
-    EXPECT_EQ(0u, a->pattern_cache_hits);
     EXPECT_GT(b->pattern_cache_hits, 0u);
   }
 }
@@ -944,13 +1023,12 @@ TEST_F(ServiceTest, StageCacheUpstreamEvictionKeepsDownstreamServing) {
   EXPECT_EQ(expected, value_of(**second));
 }
 
-// Staged (default) vs monolithic (staged_prepare = false) answers are
-// bit-identical at 1/2/4/8 threads, across branches and When-variants.
-TEST_F(ServiceTest, StagedVsMonolithicBitEqualAcrossThreads) {
-  whatif::WhatIfOptions staged_options = EngineOptions(
+// Staged, cached answers are bit-identical at 1/2/4/8 threads to a fresh
+// standalone 1-thread Run (no StageContext) over each branch's effective
+// database, across branches and When-variants.
+TEST_F(ServiceTest, StagedVsFreshRunBitEqualAcrossThreads) {
+  const whatif::WhatIfOptions staged_options = EngineOptions(
       whatif::BackdoorMode::kGraph, learn::EstimatorKind::kForest);
-  whatif::WhatIfOptions monolithic_options = staged_options;
-  monolithic_options.staged_prepare = false;
 
   const std::string queries[] = {
       kQuery,
@@ -958,8 +1036,8 @@ TEST_F(ServiceTest, StagedVsMonolithicBitEqualAcrossThreads) {
       "Use German Update(Savings) = 2 Output Avg(Post(Credit))",
   };
 
-  auto run_all = [&](const whatif::WhatIfOptions& options, size_t threads) {
-    whatif::WhatIfOptions with_threads = options;
+  auto make_service = [&](size_t threads) {
+    whatif::WhatIfOptions with_threads = staged_options;
     with_threads.num_threads = threads;
     auto service = MakeService(with_threads, 64, threads);
     EXPECT_TRUE(service->CreateScenario("b").ok());
@@ -969,6 +1047,10 @@ TEST_F(ServiceTest, StagedVsMonolithicBitEqualAcrossThreads) {
                                            "Update(Housing) = 0 "
                                            "Output Count(*)")
                     .ok());
+    return service;
+  };
+  auto run_all = [&](size_t threads) {
+    auto service = make_service(threads);
     std::vector<Request> requests;
     for (const std::string& q : queries) {
       requests.push_back({"main", q, {}});
@@ -982,12 +1064,25 @@ TEST_F(ServiceTest, StagedVsMonolithicBitEqualAcrossThreads) {
     return values;
   };
 
-  const std::vector<double> reference = run_all(monolithic_options, 1);
+  std::vector<double> reference;
+  {
+    auto service = make_service(1);
+    auto main_db = service->EffectiveDatabase("main");
+    auto b_db = service->EffectiveDatabase("b");
+    ASSERT_TRUE(main_db.ok() && b_db.ok());
+    whatif::WhatIfOptions fresh_options = staged_options;
+    fresh_options.num_threads = 1;
+    for (const std::string& q : queries) {
+      for (const Database* db : {main_db->get(), b_db->get()}) {
+        auto r = whatif::WhatIfEngine(db, &graph_, fresh_options).RunSql(q);
+        ASSERT_TRUE(r.ok()) << r.status();
+        reference.push_back(r->value);
+      }
+    }
+  }
   for (size_t threads : {1u, 2u, 4u, 8u}) {
-    EXPECT_EQ(reference, run_all(staged_options, threads))
+    EXPECT_EQ(reference, run_all(threads))
         << "staged answers diverged at " << threads << " thread(s)";
-    EXPECT_EQ(reference, run_all(monolithic_options, threads))
-        << "monolithic answers diverged at " << threads << " thread(s)";
   }
 }
 

@@ -4,6 +4,8 @@
 
 #include "causal/scm.h"
 #include "data/datasets.h"
+#include "howto/engine.h"
+#include "service/scenario_service.h"
 #include "sql/parser.h"
 #include "whatif/compile.h"
 #include "whatif/engine.h"
@@ -457,9 +459,58 @@ TEST(CompileTest, UnknownForAttributeFails) {
 
 // ---------------------------------------------------------------------------
 // Columnar path: the columnar + compiled-expression substrate must return
-// exactly what the legacy row interpreter returns, and the parallel block
-// loop must reproduce the single-threaded answer bit for bit.
+// exactly what the reference row interpreter (RunReference) returns, and the
+// parallel block loop must reproduce the single-threaded answer bit for bit.
 // ---------------------------------------------------------------------------
+
+// A column mixing strings with ints can only come from AppendUnchecked (or a
+// journal written before hypothetical writes were type-checked). Every
+// serving entry point fails it with a typed InvalidArgument naming the
+// column; there is no silent fallback to another evaluator.
+TEST(ColumnarPathTest, MixedTypeColumnIsTypedInvalidArgument) {
+  Table t(Schema("R",
+                 {{"Id", ValueType::kInt, Mutability::kImmutable},
+                  {"A", ValueType::kInt, Mutability::kMutable},
+                  {"Mixed", ValueType::kInt, Mutability::kMutable},
+                  {"Y", ValueType::kInt, Mutability::kMutable}},
+                 {"Id"}));
+  for (int64_t i = 0; i < 16; ++i) {
+    const Value mixed =
+        i % 4 == 0 ? Value::String("abc") : Value::Int(i % 3);
+    t.AppendUnchecked(
+        {Value::Int(i), Value::Int(i % 2), mixed, Value::Int((i / 2) % 2)});
+  }
+  Database db;
+  ASSERT_TRUE(db.AddTable(std::move(t)).ok());
+
+  auto expect_typed = [](const Status& status, const char* entry_point) {
+    EXPECT_EQ(StatusCode::kInvalidArgument, status.code())
+        << entry_point << ": " << status;
+    EXPECT_NE(status.message().find("'Mixed'"), std::string::npos)
+        << entry_point << ": " << status;
+  };
+  const std::string whatif_sql = "Use R Update(A) = 1 Output Count(Y = 1)";
+  auto stmt = sql::ParseSql(whatif_sql);
+  ASSERT_TRUE(stmt.ok());
+  WhatIfOptions options;
+  options.estimator = learn::EstimatorKind::kFrequency;
+  WhatIfEngine engine(&db, nullptr, options);
+  expect_typed(engine.Run(*stmt->whatif).status(), "Run");
+  expect_typed(engine.Prepare(*stmt->whatif).status(), "Prepare");
+
+  service::ServiceOptions service_options;
+  service_options.whatif = options;
+  service_options.num_threads = 1;
+  service::ScenarioService service(db, service_options);
+  expect_typed(service.Submit({"main", whatif_sql, {}}).status, "Submit");
+
+  howto::HowToOptions howto_options;
+  howto_options.whatif = options;
+  howto::HowToEngine howto(&db, nullptr, howto_options);
+  expect_typed(
+      howto.RunSql("Use R HowToUpdate A ToMaximize Count(Y = 1)").status(),
+      "HowToEngine::Run");
+}
 
 struct PathQuery {
   const char* name;
@@ -489,13 +540,13 @@ TEST(ColumnarPathTest, MatchesRowPathOnGerman) {
       WhatIfOptions options;
       options.estimator = estimator;
       options.forest.num_trees = 4;
-      options.use_columnar = false;
       WhatIfEngine rows(&ds->db, &ds->graph, options);
-      options.use_columnar = true;
       options.num_threads = 1;
       WhatIfEngine columnar(&ds->db, &ds->graph, options);
 
-      auto a = rows.RunSql(q.sql);
+      auto stmt = sql::ParseSql(q.sql);
+      ASSERT_TRUE(stmt.ok()) << q.name << ": " << stmt.status();
+      auto a = rows.RunReference(*stmt->whatif);
       auto b = columnar.RunSql(q.sql);
       ASSERT_TRUE(a.ok()) << q.name << ": " << a.status();
       ASSERT_TRUE(b.ok()) << q.name << ": " << b.status();
@@ -527,13 +578,11 @@ TEST(ColumnarPathTest, MatchesRowPathOnAmazonView) {
     options.estimator = learn::EstimatorKind::kForest;
     options.forest.num_trees = 4;
     options.backdoor = mode;
-    options.use_columnar = false;
     WhatIfEngine rows(&ds->db, &ds->graph, options);
-    options.use_columnar = true;
     options.num_threads = 1;
     WhatIfEngine columnar(&ds->db, &ds->graph, options);
 
-    auto a = rows.RunSql(query);
+    auto a = rows.RunReference(*sql::ParseSql(query)->whatif);
     auto b = columnar.RunSql(query);
     ASSERT_TRUE(a.ok()) << a.status();
     ASSERT_TRUE(b.ok()) << b.status();
