@@ -12,6 +12,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -22,6 +23,7 @@
 #include "causal/graph.h"
 #include "causal/ground.h"
 #include "common/simd.h"
+#include "common/thread_pool.h"
 #include "data/datasets.h"
 #include "learn/forest.h"
 #include "learn/frequency.h"
@@ -758,8 +760,12 @@ void RunScaleSweep(bool smoke, bench::JsonLines& out) {
                   {"rows_per_s", rows * fo.num_trees / hist_s}});
     }
 
-    // --- End to end: warm Evaluate and cold Prepare+Evaluate at the engine
-    // defaults, checked against a fresh forced-scalar 1-thread Run. ---
+    // --- End to end: cold Prepare+Evaluate at an explicit nproc budget,
+    // warm Evaluate at explicit 1-thread and nproc budgets (one plan each,
+    // same answer bits), checked against a fresh forced-scalar 1-thread
+    // Run. Outside --smoke, from 100k rows on, a warm nproc Evaluate more
+    // than 1.25x slower than the 1-thread one fails the bench: adding
+    // threads must never make the warm path slower. ---
     {
       auto stmt = bench::Unwrap(
           sql::ParseSql("Use German When Status = 1 Update(Status) = 2 "
@@ -767,31 +773,52 @@ void RunScaleSweep(bool smoke, bench::JsonLines& out) {
           "parse");
       const std::vector<whatif::UpdateSpec> specs =
           whatif::SpecsOfStatement(*stmt.whatif);
-
-      whatif::WhatIfOptions options;
-      options.estimator = learn::EstimatorKind::kFrequency;
+      const size_t nproc = ThreadPool::DefaultThreads();
+      const auto options_at = [](size_t threads) {
+        whatif::WhatIfOptions options;
+        options.estimator = learn::EstimatorKind::kFrequency;
+        options.num_threads = threads;
+        return options;
+      };
 
       double value = 0.0;
       const size_t cold_reps = n >= 1000000 ? 2 : 3;
       const double cold_s = bench::TimePerRep(cold_reps, [&] {
-        whatif::WhatIfEngine engine(&gds.db, &gds.graph, options);
+        whatif::WhatIfEngine engine(&gds.db, &gds.graph, options_at(nproc));
         auto plan = bench::Unwrap(engine.Prepare(*stmt.whatif), "prepare");
         auto result = bench::Unwrap(engine.Evaluate(*plan, specs), "eval");
         value = result.value;
         sink += result.value;
       });
-      whatif::WhatIfEngine engine(&gds.db, &gds.graph, options);
-      auto plan = bench::Unwrap(engine.Prepare(*stmt.whatif), "prepare");
-      sink += bench::Unwrap(engine.Evaluate(*plan, specs), "warmup").value;
-      const size_t warm_reps = n >= 1000000 ? 3 : 5;
-      const double warm_s = bench::TimePerRep(warm_reps, [&] {
-        auto result = bench::Unwrap(engine.Evaluate(*plan, specs), "eval");
-        value = result.value;
-        sink += result.value;
-      });
+      // Median seconds of a warm Evaluate at `threads`; every answer must
+      // carry the cold run's bits.
+      const size_t warm_reps = n >= 1000000 ? 7 : 21;
+      const auto warm_median_s = [&](size_t threads) {
+        whatif::WhatIfEngine engine(&gds.db, &gds.graph, options_at(threads));
+        auto plan = bench::Unwrap(engine.Prepare(*stmt.whatif), "prepare");
+        sink += bench::Unwrap(engine.Evaluate(*plan, specs), "warmup").value;
+        std::vector<double> times;
+        for (size_t i = 0; i < warm_reps; ++i) {
+          Stopwatch timer;
+          auto result = bench::Unwrap(engine.Evaluate(*plan, specs), "eval");
+          times.push_back(timer.ElapsedSeconds());
+          if (result.value != value) {
+            std::fprintf(stderr,
+                         "[bench] warm Evaluate at %zu threads diverges at "
+                         "%zu: %.17g vs %.17g\n",
+                         threads, n, result.value, value);
+            std::exit(1);
+          }
+          sink += result.value;
+        }
+        std::nth_element(times.begin(), times.begin() + times.size() / 2,
+                         times.end());
+        return times[times.size() / 2];
+      };
+      const double warm_t1_s = warm_median_s(1);
+      const double warm_nproc_s = warm_median_s(nproc);
 
-      whatif::WhatIfOptions scalar_options = options;
-      scalar_options.num_threads = 1;
+      whatif::WhatIfOptions scalar_options = options_at(1);
       simd::SetForceScalar(true);
       const double scalar_value =
           bench::Unwrap(whatif::WhatIfEngine(&gds.db, &gds.graph,
@@ -809,9 +836,18 @@ void RunScaleSweep(bool smoke, bench::JsonLines& out) {
       }
       out.Record("scale_whatif_e2e",
                  {{"rows", rows},
-                  {"cold_s", cold_s},
-                  {"warm_s", warm_s},
+                  {"nproc", static_cast<double>(nproc)},
+                  {"cold_nproc_s", cold_s},
+                  {"warm_t1_s", warm_t1_s},
+                  {"warm_nproc_s", warm_nproc_s},
                   {"equal", 1.0}});
+      if (!smoke && n >= 100000 && warm_nproc_s > 1.25 * warm_t1_s) {
+        std::fprintf(stderr,
+                     "[bench] warm Evaluate at %zu rows is slower at nproc=%zu "
+                     "(%.6f s) than at 1 thread (%.6f s)\n",
+                     n, nproc, warm_nproc_s, warm_t1_s);
+        std::exit(1);
+      }
     }
   }
 

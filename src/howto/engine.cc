@@ -463,9 +463,9 @@ Result<HowToEngine::ScoredCandidates> HowToEngine::ScoreCandidates(
 
   // Evaluate the surviving (attribute, candidate) pairs: one flat worklist
   // sharded across the worker pool under the whatif.num_threads budget,
-  // results merged back in worklist order. Each parallel evaluation runs
-  // its own block loop single-threaded (the pool is already busy with whole
-  // candidates); Evaluate answers are invariant to the block-thread count,
+  // results merged back in worklist order. Each parallel evaluation folds
+  // its own block segments single-threaded (the pool is already busy with
+  // whole candidates); Evaluate answers are invariant to the thread budget,
   // so the merge is bit-identical to the sequential loop.
   struct WorkItem {
     size_t a = 0;

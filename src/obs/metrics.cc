@@ -64,8 +64,9 @@ uint64_t Histogram::count() const {
 }
 
 std::vector<double> LatencyBuckets() {
-  return {0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
-          0.1,     0.25,   0.5,   1.0,    2.5,   5.0,  10.0};
+  return {0.00001, 0.000025, 0.00005, 0.0001, 0.00025, 0.0005,
+          0.001,   0.0025,   0.005,   0.01,   0.025,   0.05,
+          0.1,     0.25,     0.5,     1.0,    2.5,     5.0,  10.0};
 }
 
 double HistogramQuantile(const std::vector<double>& bounds,

@@ -70,8 +70,9 @@ class Histogram {
   std::atomic<double> sum_{0.0};
 };
 
-/// Default latency bucket layout: 250us .. 10s, roughly log-spaced. Covers
-/// sub-millisecond cache hits through multi-second cold forest training.
+/// Default latency bucket layout: 10us .. 10s, roughly log-spaced. Covers
+/// warm plan-cache hits of tens of microseconds through multi-second cold
+/// forest training.
 std::vector<double> LatencyBuckets();
 
 /// Estimates the q-quantile (q in (0,1)) from bucket counts by linear

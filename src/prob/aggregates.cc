@@ -1,49 +1,16 @@
 #include "prob/aggregates.h"
 
-#include "common/logging.h"
-
 namespace hyper::prob {
 
-void BlockAccumulator::BeginBlock() {
-  HYPER_DCHECK(!in_block_);
-  in_block_ = true;
-  block_numerator_ = 0.0;
-  block_denominator_ = 0.0;
-}
-
-void BlockAccumulator::Add(double weight, double weighted_value) {
-  HYPER_DCHECK(in_block_);
-  switch (agg_) {
-    case sql::AggKind::kCount:
-      block_numerator_ += weight;
-      break;
-    case sql::AggKind::kSum:
-      block_numerator_ += weighted_value;
-      break;
-    case sql::AggKind::kAvg:
-      block_numerator_ += weighted_value;
-      block_denominator_ += weight;
-      break;
-    case sql::AggKind::kNone:
-      break;
-  }
-}
-
-void BlockAccumulator::EndBlock() {
-  HYPER_DCHECK(in_block_);
-  in_block_ = false;
-  // g = Sum: fold the block partial into the global accumulators.
-  numerator_ += block_numerator_;
-  denominator_ += block_denominator_;
-  ++num_blocks_;
-}
-
-void BlockAccumulator::MergeBlockPartial(double block_numerator,
-                                         double block_denominator) {
-  HYPER_DCHECK(!in_block_);
-  numerator_ += block_numerator;
-  denominator_ += block_denominator;
-  ++num_blocks_;
+void BlockAccumulator::MergeSegment(const BlockAccumulator& segment) {
+  HYPER_DCHECK(!in_block_ && !segment.in_block_);
+  HYPER_DCHECK(segment.num_blocks_ == segment.segment_blocks_);
+  HYPER_DCHECK(segment_blocks_ == 0 || segment_blocks_ == kSegmentBlocks);
+  if (segment_blocks_ > 0) CloseSegment();
+  segment_numerator_ = segment.segment_numerator_;
+  segment_denominator_ = segment.segment_denominator_;
+  segment_blocks_ = segment.segment_blocks_;
+  num_blocks_ += segment.num_blocks_;
 }
 
 Result<double> BlockAccumulator::Finish() const {
@@ -51,13 +18,15 @@ Result<double> BlockAccumulator::Finish() const {
   switch (agg_) {
     case sql::AggKind::kCount:
     case sql::AggKind::kSum:
-      return numerator_;
-    case sql::AggKind::kAvg:
-      if (denominator_ <= 0.0) {
+      return numerator();
+    case sql::AggKind::kAvg: {
+      const double denominator = this->denominator();
+      if (denominator <= 0.0) {
         return Status::InvalidArgument(
             "Avg over an empty (or zero-probability) qualifying set");
       }
-      return numerator_ / denominator_;
+      return numerator() / denominator;
+    }
     case sql::AggKind::kNone:
       break;
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <optional>
 #include <set>
@@ -458,55 +459,78 @@ Result<WhatIfPlan> BuildWhatIfPlan(const CompiledWhatIf& q,
   return plan;
 }
 
-/// Block-independent decomposition (§3.3), shared by both paths: view rows
-/// grouped by the ground-graph component of their base tuple (a single
-/// block when decomposition is off or unavailable).
-std::vector<std::vector<size_t>> BuildBlockRows(
-    const CompiledWhatIf& q, const Database& db,
-    const causal::CausalGraph* graph, bool use_blocks, size_t n) {
-  std::vector<std::vector<size_t>> block_rows;
-  if (use_blocks && graph != nullptr) {
-    // Without cross-tuple edges the ground graph never connects two tuples:
-    // every base tuple is its own component, so the blocks are the view
-    // rows grouped by base tid — no need to materialize the ground graph.
-    // (Partials fold with g = Sum, so any refinement of the block partition
-    // produces the same value bit for bit.)
-    bool any_cross_tuple = false;
-    for (const causal::CausalEdge& e : graph->edges()) {
-      if (e.is_cross_tuple()) {
-        any_cross_tuple = true;
-        break;
-      }
-    }
-    if (!any_cross_tuple) {
-      std::unordered_map<size_t, size_t> block_index;
-      for (size_t r = 0; r < n; ++r) {
-        const size_t tid = q.view_info->view_row_to_tid[r];
-        auto [it, inserted] = block_index.emplace(tid, block_rows.size());
-        if (inserted) block_rows.emplace_back();
-        block_rows[it->second].push_back(r);
-      }
-      return block_rows;
-    }
-    auto components = causal::TupleComponents::Build(*graph, db);
-    if (components.ok()) {
-      std::unordered_map<size_t, size_t> block_index;
-      for (size_t r = 0; r < n; ++r) {
-        auto block = components->BlockOf(causal::TupleId{
-            q.view_info->update_relation, q.view_info->view_row_to_tid[r]});
-        const size_t b = block.ok() ? *block : 0;
-        auto [it, inserted] = block_index.emplace(b, block_rows.size());
-        if (inserted) block_rows.emplace_back();
-        block_rows[it->second].push_back(r);
-      }
-    }
+/// Block-independent decomposition (§3.3) of the view rows as a CSR index:
+/// block b holds positions [begin(b), end(b)), position i is view row
+/// row(i). Blocks are numbered by first appearance in row order and list
+/// their rows in row order. Identity parts are implicit, so the common
+/// shapes cost no memory: empty `offsets` means block b is view row b, and
+/// empty `rows` means position i is view row i.
+struct BlockIndex {
+  std::vector<size_t> offsets;
+  std::vector<size_t> rows;
+
+  size_t num_blocks(size_t n) const {
+    return offsets.empty() ? n : offsets.size() - 1;
   }
-  if (block_rows.empty()) {
-    block_rows.emplace_back();
-    block_rows[0].resize(n);
-    for (size_t r = 0; r < n; ++r) block_rows[0][r] = r;
+  size_t begin(size_t b) const { return offsets.empty() ? b : offsets[b]; }
+  size_t end(size_t b) const {
+    return offsets.empty() ? b + 1 : offsets[b + 1];
   }
-  return block_rows;
+  size_t row(size_t i) const { return rows.empty() ? i : rows[i]; }
+};
+
+/// Builds the block index shared by Prepare and RunReference: view rows
+/// grouped by the ground-graph component of their base tuple. Decomposition
+/// off, no graph, or a graph TupleComponents cannot ground on `db` (a link
+/// attribute missing from one of the linked relations) gives one block of
+/// every row, which is always a valid, coarser decomposition. A view row
+/// whose tuple the components do not index fails with NotFound.
+Result<BlockIndex> BuildBlockRows(const CompiledWhatIf& q, const Database& db,
+                                  const causal::CausalGraph* graph,
+                                  bool use_blocks, size_t n) {
+  BlockIndex single;
+  single.offsets = {0, n};
+  if (!use_blocks || graph == nullptr) return single;
+  // Without cross-tuple edges the ground graph never connects two tuples,
+  // so every base tuple is its own component. The relevant view holds one
+  // row per tuple of R (BuildRelevantView enforces it), so the components
+  // are exactly the view rows: the identity index, built without a scan.
+  const bool any_cross_tuple = std::any_of(
+      graph->edges().begin(), graph->edges().end(),
+      [](const causal::CausalEdge& e) { return e.is_cross_tuple(); });
+  if (!any_cross_tuple) return BlockIndex{};
+  auto components = causal::TupleComponents::Build(*graph, db);
+  if (!components.ok()) return single;
+
+  // Component ids are dense in [0, num_blocks): number blocks by first
+  // appearance, count their rows, then scatter the rows in row order.
+  constexpr size_t kUnseen = SIZE_MAX;
+  std::vector<size_t> block_of_component(components->num_blocks(), kUnseen);
+  std::vector<size_t> block_of_row(n);
+  BlockIndex index;
+  index.offsets.push_back(0);
+  for (size_t r = 0; r < n; ++r) {
+    HYPER_ASSIGN_OR_RETURN(
+        const size_t component,
+        components->BlockOf(causal::TupleId{q.view_info->update_relation,
+                                            q.view_info->view_row_to_tid[r]}));
+    size_t& block = block_of_component[component];
+    if (block == kUnseen) {
+      block = index.offsets.size() - 1;
+      index.offsets.push_back(0);
+    }
+    block_of_row[r] = block;
+    ++index.offsets[block + 1];
+  }
+  const size_t num_blocks = index.offsets.size() - 1;
+  if (num_blocks == n) return BlockIndex{};  // every row its own block
+  for (size_t b = 0; b < num_blocks; ++b) {
+    index.offsets[b + 1] += index.offsets[b];
+  }
+  index.rows.resize(n);
+  std::vector<size_t> next(index.offsets.begin(), index.offsets.end() - 1);
+  for (size_t r = 0; r < n; ++r) index.rows[next[block_of_row[r]]++] = r;
+  return index;
 }
 
 // ---------------------------------------------------------------------------
@@ -1004,18 +1028,21 @@ Result<WhatIfResult> WhatIfEngine::RunReference(
     return &ins->second;
   };
 
-  const std::vector<std::vector<size_t>> block_rows =
-      BuildBlockRows(q, *db_, graph_, options_.use_blocks, n);
-  result.num_blocks = block_rows.size();
+  HYPER_ASSIGN_OR_RETURN(
+      const BlockIndex blocks,
+      BuildBlockRows(q, *db_, graph_, options_.use_blocks, n));
+  result.num_blocks = blocks.num_blocks(n);
 
-  // Main evaluation loop.
+  // Main evaluation loop: blocks in block order, so the accumulator applies
+  // the same reduction order as Evaluate.
   prob::BlockAccumulator acc(q.output_agg);
   ExprPtr literal_true = sql::MakeLiteral(Value::Bool(true));
 
   LoopCheck gov_loop(guard.get());
-  for (const std::vector<size_t>& rows : block_rows) {
+  for (size_t b = 0; b < result.num_blocks; ++b) {
     acc.BeginBlock();
-    for (size_t r : rows) {
+    for (size_t i = blocks.begin(b); i < blocks.end(b); ++i) {
+      const size_t r = blocks.row(i);
       if (gov_loop.Due()) {
         HYPER_RETURN_NOT_OK(gov_loop.guard()->Check("whatif.run_rows"));
       }
@@ -1143,12 +1170,10 @@ struct ScopeStageData {
 /// block-independent decomposition.
 struct CausalStageData {
   WhatIfPlan plan;
-  std::vector<std::vector<size_t>> block_rows;
-  /// True when block b is exactly {b} — every tuple its own block, in row
-  /// order (the common single-table shape). The evaluate loop then takes a
-  /// flat row-order pass instead of per-block accumulators: since g is Sum
-  /// and partials merge in block order, the fold is bit-identical.
-  bool identity_blocks = false;
+  /// The block-independent decomposition as a CSR index over the view rows.
+  /// Without cross-tuple edges (the common single-table shape) it is the
+  /// empty identity index, one block per row, and holds no memory.
+  BlockIndex blocks;
 };
 
 /// LearnStage: fitted encoders, the (binned) training matrix, psi prep, and
@@ -1514,15 +1539,9 @@ Result<std::shared_ptr<const CausalStageData>> BuildCausalStage(
     HYPER_RETURN_NOT_OK(guard->ChargeRows(scope.cview.num_rows(),
                                           "whatif.prepare.causal"));
   }
-  stage->block_rows = BuildBlockRows(q, db, graph, options.use_blocks,
-                                     scope.cview.num_rows());
-  stage->identity_blocks =
-      stage->block_rows.size() == scope.cview.num_rows();
-  for (size_t b = 0; stage->identity_blocks && b < stage->block_rows.size();
-       ++b) {
-    stage->identity_blocks =
-        stage->block_rows[b].size() == 1 && stage->block_rows[b][0] == b;
-  }
+  HYPER_ASSIGN_OR_RETURN(stage->blocks,
+                         BuildBlockRows(q, db, graph, options.use_blocks,
+                                        scope.cview.num_rows()));
   return std::shared_ptr<const CausalStageData>(std::move(stage));
 }
 
@@ -2061,12 +2080,11 @@ Result<std::shared_ptr<const PreparedWhatIf>> WhatIfEngine::Prepare(
 namespace {
 
 /// The per-intervention fifth of a what-if run, against a prepared plan.
-/// `block_threads` shards the block loop (1 inside batch fan-out to avoid
-/// oversubscription); the answer is identical for every setting.
+/// `threads` caps the threads folding its segments (1 inside batch fan-out
+/// to avoid oversubscription); the answer is identical for every setting.
 Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
                                       const std::vector<UpdateSpec>& updates,
-                                      size_t block_threads,
-                                      const ExecGuard* guard) {
+                                      size_t threads, const ExecGuard* guard) {
   Stopwatch eval_timer;
   WhatIfResult result;
   const ScopeStageData& sc = *im.scope;
@@ -2084,7 +2102,7 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
 
   result.view_rows = n;
   result.updated_rows = updated;
-  result.num_blocks = ca.block_rows.size();
+  result.num_blocks = ca.blocks.num_blocks(n);
   result.backdoor = ca.plan.backdoor_causal;
 
   if (guard != nullptr) {
@@ -2273,11 +2291,6 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
     }
     return true;
   }();
-  // Identity singleton blocks on a single-threaded budget take a flat
-  // row-order pass in Pass B below — the per-block merge in block order IS
-  // a row-order fold there, so the per-block accumulator, partial, and
-  // status arrays are pure overhead (one heap pair + Status per tuple).
-  const bool flat_blocks = ca.identity_blocks && block_threads <= 1;
   // Fast Pass A for the common serving shape — row-invariant holes, Set
   // updates only, no psi features: every affected row's post-update point
   // is (constant set features) ++ (its non-update feature bytes), so the
@@ -2286,9 +2299,9 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
   // points, and their order are identical to the hashing loop in the else
   // branch below (first appearance in row order, byte equality).
   const bool fast_pass_a = uniform && all_set && psi_specs.empty();
-  // A flat uniform Pass B reads the shared entry directly, so the fast
-  // Pass A can skip both the entry map and its n-slot zeroed allocation.
-  std::vector<uint32_t> entry_of_row(fast_pass_a && flat_blocks ? 0 : n);
+  // Residual entry of each row; with row-invariant holes every row reads
+  // the shared entry, so the map is never allocated.
+  std::vector<uint32_t> entry_of_row(uniform ? 0 : n);
   std::vector<const QueryStageData::Entry*> local_entries;
   std::vector<const PatternEstimators*> pattern_of_entry;
   std::unordered_map<std::vector<Value>, uint32_t, ValueVectorHash,
@@ -2317,9 +2330,6 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
   }
 
   if (fast_pass_a) {
-    if (!flat_blocks) {
-      std::fill(entry_of_row.begin(), entry_of_row.end(), uniform_id);
-    }
     const QueryStageData::Entry& e = *local_entries[uniform_id];
     if (!(e.is_literal && !e.literal_value)) {
       const uint32_t* gid = le.residual_gid.data();
@@ -2371,10 +2381,8 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
     if (pass_a_check.Due()) {
       HYPER_RETURN_NOT_OK(guard->Check("whatif.eval.rows"));
     }
-    uint32_t id;
-    if (uniform) {
-      id = uniform_id;
-    } else {
+    uint32_t id = uniform_id;
+    if (!uniform) {
       scratch.clear();
       for (const relational::ColumnBoundExpr& he : hole_eval) {
         HYPER_ASSIGN_OR_RETURN(relational::Scalar s, he.Eval(r));
@@ -2390,8 +2398,8 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
         local_entries[id] = qs.entries[id].get();
         local_cache.emplace(scratch, id);
       }
+      entry_of_row[r] = id;
     }
-    entry_of_row[r] = id;
     const QueryStageData::Entry& e = *local_entries[id];
     if (e.is_literal && !e.literal_value) continue;  // disqualified
     if (!(in_s[r] || (psic != nullptr && psic[r]))) continue;  // Pass B
@@ -2453,228 +2461,99 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
     }
   }
 
-  // Pass B (parallel): blocks are independent (§3.3), so each one is
-  // evaluated on its own accumulator — estimators and batch slots are
-  // read-only here — and the partials merge in block order, bit-identical
-  // to a sequential fold.
-  const std::vector<std::vector<size_t>>& block_rows = ca.block_rows;
-  std::vector<std::pair<double, double>> partials(
-      flat_blocks ? 0 : block_rows.size(), {0.0, 0.0});
-  std::vector<Status> block_status(flat_blocks ? 0 : block_rows.size());
-  auto eval_block = [&](size_t b) -> Status {
-    // Aborts are sticky and monotone, so once any shard trips the guard
-    // every later checking block returns the same typed status; the
-    // block-ordered merge below then surfaces it deterministically. The
-    // entry check is amortized over the block index: ground blocks can be
-    // single rows (one block per tuple), and a full checkpoint per block
-    // would dominate the warm path. Every 64th block keeps the response
-    // latency of a 1-row-block decomposition at ~64 rows while the per-row
-    // LoopCheck below covers the few-large-blocks shape.
-    if (guard != nullptr && (b & 63) == 0) {
+  // Pass B (parallel over reduction segments): blocks are independent
+  // (§3.3) and estimators and batch slots are read-only here, so each
+  // segment of BlockAccumulator::kSegmentBlocks consecutive blocks folds on
+  // its own accumulator and the segments merge in segment order. That is
+  // the order BlockAccumulator defines, so the answer is the same bits at
+  // every thread budget and however the pool splits the segments. Errors
+  // surface as the first failing row of the first failing segment, which
+  // is the first failing block in block order.
+  const BlockIndex& blocks = ca.blocks;
+  const size_t num_blocks = blocks.num_blocks(n);
+  constexpr size_t kSegmentBlocks = prob::BlockAccumulator::kSegmentBlocks;
+  const size_t num_segments =
+      (num_blocks + kSegmentBlocks - 1) / kSegmentBlocks;
+  std::vector<prob::BlockAccumulator> segments(
+      num_segments, prob::BlockAccumulator(q.output_agg));
+  std::vector<Status> segment_status(num_segments);
+  auto fold_segment = [&](size_t s) -> Status {
+    // Aborts are sticky and monotone, so once any segment trips the guard
+    // every later check returns the same typed status.
+    if (guard != nullptr) {
       HYPER_RETURN_NOT_OK(guard->Check("whatif.eval.blocks"));
     }
-    LoopCheck block_check(guard);
-    prob::BlockAccumulator bacc(q.output_agg);
-    bacc.BeginBlock();
-    for (size_t r : block_rows[b]) {
-      if (block_check.Due()) {
-        HYPER_RETURN_NOT_OK(guard->Check("whatif.eval.blocks"));
-      }
-      const uint32_t id = entry_of_row[r];
-      const QueryStageData::Entry& e = *local_entries[id];
-      if (e.is_literal && !e.literal_value) continue;  // disqualified
-      const bool affected = in_s[r] || (psic != nullptr && psic[r]);
-      if (!affected) {
-        // Unchanged tuple: post == pre, everything is exact. Qualification
-        // and output value come from the stage-level caches when present;
-        // tri-state error marks reproduce the per-row error exactly.
-        bool qualifies = e.literal_value;
-        if (!e.is_literal) {
-          if (!e.exact_vals.empty() && e.exact_vals[r] != 2) {
-            qualifies = e.exact_vals[r] != 0;
-          } else {
-            auto qr = e.exact->EvalBool(r);
-            if (!qr.ok()) return qr.status();
-            qualifies = *qr;
-          }
-        }
-        if (!qualifies) continue;
-        double value = 0.0;
-        if (qs.out_eval.has_value()) {
-          if (qs.out_err[r]) {
-            auto vr = qs.out_eval->Eval(r);
-            if (!vr.ok()) return vr.status();
-            auto dr = vr->AsDouble();
-            if (!dr.ok()) return dr.status();
-            value = *dr;
-          } else {
-            value = qs.out_all[r];
-          }
-        }
-        bacc.Add(1.0, value);
-        continue;
-      }
-
-      // Affected tuple: estimate at the post-update feature point.
-      const PatternEstimators* pat = pattern_of_entry[id];
-      const double weight =
-          pat->literal ? (pat->literal_value ? 1.0 : 0.0)
-                       : Clamp01(batches[id].weights[slot_of_row[r]]);
-      if (weight <= 0.0) continue;
-      const double weighted_value =
-          pat->value != nullptr ? batches[id].values[slot_of_row[r]] : 0.0;
-      bacc.Add(weight, weighted_value);
-    }
-    bacc.EndBlock();
-    partials[b] = {bacc.numerator(), bacc.denominator()};
-    return Status::OK();
-  };
-
-  prob::BlockAccumulator acc(q.output_agg);
-  if (flat_blocks) {
-    // Same row body as eval_block, same += sequence as the block-ordered
-    // merge (starting from +0.0 the partial can never be -0.0, so one merge
-    // of the flat totals is bit-identical to n singleton merges). Errors
-    // surface as the first failing row, which is the first failing block.
-    double num = 0.0, den = 0.0;
-    LoopCheck flat_check(guard);
-    // Branchless specialization for the dominant serving shape: one shared
-    // entry, batched Count with a trained weight estimator and a cached
-    // qualification mask. Every row adds exactly what the generic body
-    // adds — non-qualifying and zero-weight rows contribute +0.0, which is
-    // bit-identical to skipping them because the partial starts at +0.0 and
-    // only ever accumulates non-negative clamped weights (it can never be
-    // -0.0). Replacing the affected/unaffected branch with a select removes
-    // the data-dependent mispredictions that dominate this loop on mixed
-    // selections.
-    const QueryStageData::Entry* ue = uniform ? local_entries[uniform_id]
-                                              : nullptr;
-    const PatternEstimators* upat =
-        uniform ? pattern_of_entry[uniform_id] : nullptr;
-    const bool table_disqualified =
-        uniform && ue->is_literal && !ue->literal_value;
-    const bool turbo_count =
-        uniform && !table_disqualified && psi_specs.empty() &&
-        q.output_agg == sql::AggKind::kCount && !ue->is_literal &&
-        !ue->exact_vals.empty() && upat != nullptr && !upat->literal &&
-        upat->weight != nullptr && uniform_id < batches.size() &&
-        !batches[uniform_id].weights.empty() && !qs.out_eval.has_value();
-    if (table_disqualified) {
-      // Every tuple resolves to a disqualified literal entry: the fold is
-      // empty and the zero partial below is all that remains.
-    } else if (turbo_count) {
-      const uint8_t* qual = ue->exact_vals.data();
-      const uint8_t* aff = in_s.data();
-      const double* w = batches[uniform_id].weights.data();
-      const uint32_t* slots = slot_of_row.data();
-      // Stride-level guard checkpoints (see Pass A): microsecond-scale
-      // cancellation latency without a per-row counter or branch.
-      constexpr size_t kGuardStride = 4096;
-      for (size_t base = 0; base < n; base += kGuardStride) {
-        if (guard != nullptr) {
+    LoopCheck row_check(guard);
+    prob::BlockAccumulator acc(q.output_agg);
+    const size_t last = std::min(num_blocks, (s + 1) * kSegmentBlocks);
+    for (size_t b = s * kSegmentBlocks; b < last; ++b) {
+      acc.BeginBlock();
+      for (size_t i = blocks.begin(b), end = blocks.end(b); i < end; ++i) {
+        if (row_check.Due()) {
           HYPER_RETURN_NOT_OK(guard->Check("whatif.eval.blocks"));
         }
-        const size_t lim = std::min(n, base + kGuardStride);
-        for (size_t r = base; r < lim; ++r) {
-          const bool affd = aff[r] != 0;
-          const uint8_t v = qual[r];
-          if (v == 2 && !affd) {  // cache miss: per-row evaluator decides
-            HYPER_ASSIGN_OR_RETURN(const bool qb, ue->exact->EvalBool(r));
-            num += qb ? 1.0 : 0.0;
-            continue;
+        const size_t r = blocks.row(i);
+        const uint32_t id = uniform ? uniform_id : entry_of_row[r];
+        const QueryStageData::Entry& e = *local_entries[id];
+        if (e.is_literal && !e.literal_value) continue;  // disqualified
+        const bool affected = in_s[r] || (psic != nullptr && psic[r]);
+        if (!affected) {
+          // Unchanged tuple: post == pre, everything is exact. Qualification
+          // and output value come from the stage-level caches when present;
+          // tri-state error marks reproduce the per-row error exactly.
+          bool qualifies = e.literal_value;
+          if (!e.is_literal) {
+            if (!e.exact_vals.empty() && e.exact_vals[r] != 2) {
+              qualifies = e.exact_vals[r] != 0;
+            } else {
+              HYPER_ASSIGN_OR_RETURN(qualifies, e.exact->EvalBool(r));
+            }
           }
-          // Unaffected slots read w[0] harmlessly (weights is non-empty);
-          // the select keeps only the arm the generic body would take.
-          const double unw = v != 0 ? 1.0 : 0.0;
-          const double wa = Clamp01(w[slots[r]]);
-          num += affd ? wa : unw;
-        }
-      }
-    } else {
-    for (size_t r = 0; r < n; ++r) {
-      if (guard != nullptr && (r & 63) == 0) {
-        HYPER_RETURN_NOT_OK(guard->Check("whatif.eval.blocks"));
-      }
-      if (flat_check.Due()) {
-        HYPER_RETURN_NOT_OK(guard->Check("whatif.eval.blocks"));
-      }
-      const uint32_t id = uniform ? uniform_id : entry_of_row[r];
-      const QueryStageData::Entry& e = *local_entries[id];
-      if (e.is_literal && !e.literal_value) continue;  // disqualified
-      double weight = 0.0, weighted_value = 0.0;
-      const bool affected = in_s[r] || (psic != nullptr && psic[r]);
-      if (!affected) {
-        bool qualifies = e.literal_value;
-        if (!e.is_literal) {
-          if (!e.exact_vals.empty() && e.exact_vals[r] != 2) {
-            qualifies = e.exact_vals[r] != 0;
-          } else {
-            HYPER_ASSIGN_OR_RETURN(qualifies, e.exact->EvalBool(r));
+          if (!qualifies) continue;
+          double value = 0.0;
+          if (qs.out_eval.has_value()) {
+            if (qs.out_err[r]) {
+              HYPER_ASSIGN_OR_RETURN(relational::Scalar v,
+                                     qs.out_eval->Eval(r));
+              HYPER_ASSIGN_OR_RETURN(value, v.AsDouble());
+            } else {
+              value = qs.out_all[r];
+            }
           }
+          acc.Add(1.0, value);
+          continue;
         }
-        if (!qualifies) continue;
-        double value = 0.0;
-        if (qs.out_eval.has_value()) {
-          if (qs.out_err[r]) {
-            HYPER_ASSIGN_OR_RETURN(relational::Scalar vs, qs.out_eval->Eval(r));
-            HYPER_ASSIGN_OR_RETURN(value, vs.AsDouble());
-          } else {
-            value = qs.out_all[r];
-          }
-        }
-        weight = 1.0;
-        weighted_value = value;
-      } else {
-        const PatternEstimators* pat = pattern_of_entry[id];
-        weight = pat->literal ? (pat->literal_value ? 1.0 : 0.0)
-                              : Clamp01(batches[id].weights[slot_of_row[r]]);
-        if (weight <= 0.0) continue;
-        if (pat->value != nullptr) {
-          weighted_value = batches[id].values[slot_of_row[r]];
-        }
-      }
-      switch (q.output_agg) {
-        case sql::AggKind::kCount:
-          num += weight;
-          break;
-        case sql::AggKind::kSum:
-          num += weighted_value;
-          break;
-        case sql::AggKind::kAvg:
-          num += weighted_value;
-          den += weight;
-          break;
-        default:
-          break;
-      }
-    }
-    }
-    acc.MergeBlockPartial(num, den);
-  } else if (block_threads <= 1 || block_rows.size() <= 1) {
-    for (size_t b = 0; b < block_rows.size(); ++b) {
-      block_status[b] = eval_block(b);
-    }
-  } else {
-    // Any parallel setting shares the process-wide hardware-sized pool:
-    // spawning threads per query would dominate small queries, and the
-    // block merge is order-fixed, so the answer never depends on the
-    // worker count anyway. Blocks are claimed morsel-wise (64 at a time;
-    // single-tuple blocks dominate, so per-block claiming would be all
-    // contention) and the work-stealing deques rebalance skewed block
-    // sizes; partials land at fixed indices either way.
-    ThreadPool::Shared().ParallelForRange(
-        block_rows.size(), /*grain=*/64,
-        [&](size_t begin, size_t end) {
-          for (size_t b = begin; b < end; ++b) block_status[b] = eval_block(b);
-        },
-        /*max_parallelism=*/block_threads);
-  }
-  for (const Status& s : block_status) {
-    HYPER_RETURN_NOT_OK(s);
-  }
 
-  for (const auto& [num, den] : partials) {
-    acc.MergeBlockPartial(num, den);
+        // Affected tuple: estimate at the post-update feature point.
+        const PatternEstimators* pat = pattern_of_entry[id];
+        const double weight =
+            pat->literal ? (pat->literal_value ? 1.0 : 0.0)
+                         : Clamp01(batches[id].weights[slot_of_row[r]]);
+        if (weight <= 0.0) continue;
+        const double weighted_value =
+            pat->value != nullptr ? batches[id].values[slot_of_row[r]] : 0.0;
+        acc.Add(weight, weighted_value);
+      }
+      acc.EndBlock();
+    }
+    segments[s] = acc;
+    return Status::OK();
+  };
+  // The budget only caps how many threads share the segments.
+  ThreadPool::Shared().ParallelForRange(
+      num_segments, /*grain=*/1,
+      [&](size_t begin, size_t end) {
+        for (size_t s = begin; s < end; ++s) {
+          segment_status[s] = fold_segment(s);
+        }
+      },
+      /*max_parallelism=*/threads);
+  for (const Status& st : segment_status) {
+    HYPER_RETURN_NOT_OK(st);
+  }
+  prob::BlockAccumulator acc(q.output_agg);
+  for (const prob::BlockAccumulator& segment : segments) {
+    acc.MergeSegment(segment);
   }
 
   result.num_patterns = used_patterns.size();
@@ -2732,10 +2611,10 @@ Result<std::vector<WhatIfResult>> WhatIfEngine::EvaluateBatch(
       eval_item(i, threads);
     }
   } else {
-    // Shard across interventions; each evaluation runs its block loop
-    // single-threaded to keep the pool busy with whole interventions.
-    // Every evaluation is deterministic on its own, so results[i] is
-    // bit-for-bit identical to a sequential Evaluate(interventions[i]).
+    // Shard across interventions; each evaluation folds its segments
+    // single-threaded to keep the pool busy with whole interventions. The
+    // segment order is the same at any budget, so results[i] is bit-for-bit
+    // identical to Evaluate(interventions[i]).
     ThreadPool::Shared().ParallelFor(
         interventions.size(), [&](size_t i) { eval_item(i, 1); },
         /*max_parallelism=*/threads);

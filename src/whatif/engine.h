@@ -137,15 +137,16 @@ struct WhatIfOptions {
   /// ("HypeR"), >0 = "HypeR-sampled" with this many rows (§5.2).
   size_t sample_size = 0;
   /// Compute per block of the block-independent decomposition (§3.3). Off
-  /// switches to a single block — same value, used by the ablation bench.
+  /// switches to a single block — the same value up to floating-point
+  /// rounding (the partials are added in a different order), used by the
+  /// ablation bench.
   bool use_blocks = true;
   uint64_t seed = 7;
-  /// Worker threads for the independent-block loop: 1 = single-threaded,
-  /// anything else = the process-wide hardware-sized pool (0 is the
-  /// default). Blocks are evaluated on separate accumulators and merged in
-  /// block order, so the answer is bit-for-bit identical for every setting.
-  /// Also the forest trainer's thread budget (unless forest.num_threads
-  /// overrides it).
+  /// Cap on the threads of the process-wide hardware-sized pool that fold
+  /// the independent blocks (0, the default, = the pool size; 1 = the
+  /// calling thread only). The fold order is fixed (see Evaluate), so the
+  /// answer is bit-for-bit identical for every setting. Also the forest
+  /// trainer's thread budget (unless forest.num_threads overrides it).
   size_t num_threads = 0;
   // --- resource governance (per-request; never part of any cache key) ---
   /// Wall-clock / row / byte limits for each engine call. The default
@@ -285,12 +286,21 @@ class WhatIfEngine {
   /// target the plan's update attributes in order; constants and update
   /// functions are free. Thread-safe; answers are bit-for-bit identical to
   /// a fresh Run of the corresponding statement.
+  ///
+  /// The blocks are folded in segments of prob::BlockAccumulator's
+  /// kSegmentBlocks consecutive blocks, spread over at most num_threads
+  /// threads, and the segment partials merge in segment order. That order
+  /// does not depend on the thread budget or on how the pool splits the
+  /// segments, so the answer is the same bits at every num_threads, and the
+  /// same bits as RunReference, which adds the same partials in the same
+  /// order.
   Result<WhatIfResult> Evaluate(const PreparedWhatIf& plan,
                                 const std::vector<UpdateSpec>& updates) const;
 
   /// Evaluates N interventions against one prepared plan in a single sharded
   /// pass over the worker pool. results[i] corresponds to interventions[i]
-  /// and is identical to Evaluate(plan, interventions[i]).
+  /// and is bit-for-bit identical to Evaluate(plan, interventions[i]): each
+  /// item folds its segments single-threaded, in the same segment order.
   ///
   /// Error handling: with `statuses == nullptr` the first failing
   /// intervention (in index order) fails the whole call. With a non-null

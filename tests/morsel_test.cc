@@ -3,11 +3,13 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "data/datasets.h"
 #include "sql/parser.h"
+#include "whatif/compile.h"
 #include "whatif/engine.h"
 
 namespace hyper {
@@ -119,10 +121,9 @@ TEST(MorselTest, MaxParallelismCapsParticipants) {
 }
 
 // ---------------------------------------------------------------------------
-// End to end: a what-if evaluation over skewed ground blocks must be
-// bit-for-bit identical at every thread budget (ordered block merge). german-syn's blocks are singletons — the
-// skew here comes from the morsel grain interacting with uneven per-row
-// work — which is exactly the production shape of the block loop.
+// End to end: a what-if evaluation must be bit-for-bit identical at every
+// thread budget. german-syn's blocks are singletons, the production shape
+// of the block fold; at 20k rows they form a single reduction segment.
 // ---------------------------------------------------------------------------
 
 TEST(MorselTest, WhatIfBitIdenticalAcrossThreads) {
@@ -153,6 +154,69 @@ TEST(MorselTest, WhatIfBitIdenticalAcrossThreads) {
     std::memcpy(&got, &result->value, sizeof(got));
     std::memcpy(&want, &reference, sizeof(want));
     ASSERT_EQ(got, want) << "threads=" << threads;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Segment-ordered reduction: german-syn at 200k rows is 200k one-row blocks,
+// four reduction segments of 64k blocks, so segment partials are folded on
+// different threads and merged across segment boundaries. Every shape must
+// give the same bits at every thread budget, as the reference interpreter,
+// and through EvaluateBatch as through Evaluate.
+// ---------------------------------------------------------------------------
+
+TEST(MorselTest, WhatIfBitIdenticalAcrossSegments) {
+  data::GermanOptions gopt;
+  gopt.rows = 200000;
+  auto ds = data::MakeGermanSyn(gopt);
+  ASSERT_TRUE(ds.ok()) << ds.status();
+  const auto bits = [](double v) {
+    uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof(b));
+    return b;
+  };
+
+  for (const char* sql :
+       {"Use German When Status = 1 Update(Status) = 2 "
+        "Output Count(Credit = 1)",
+        "Use German When Age = 1 Update(Savings) = 1 "
+        "Output Avg(Post(Credit))",
+        "Use German When Status = 1 "
+        "Update(CreditAmount) = 1.1 * Pre(CreditAmount) "
+        "Output Sum(Post(Credit))"}) {
+    SCOPED_TRACE(sql);
+    auto stmt = sql::ParseSql(sql);
+    ASSERT_TRUE(stmt.ok()) << stmt.status();
+    ASSERT_NE(stmt->whatif, nullptr);
+    const std::vector<whatif::UpdateSpec> specs =
+        whatif::SpecsOfStatement(*stmt->whatif);
+
+    whatif::WhatIfOptions options;
+    options.estimator = learn::EstimatorKind::kFrequency;
+    options.num_threads = 1;
+    auto reference =
+        whatif::WhatIfEngine(&ds->db, &ds->graph, options)
+            .RunReference(*stmt->whatif);
+    ASSERT_TRUE(reference.ok()) << reference.status();
+    ASSERT_EQ(reference->num_blocks, gopt.rows);
+    ASSERT_GT(reference->num_blocks, 3 * size_t{65536});
+
+    for (size_t threads : PoolSizes()) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      options.num_threads = threads;
+      whatif::WhatIfEngine engine(&ds->db, &ds->graph, options);
+      auto plan = engine.Prepare(*stmt->whatif);
+      ASSERT_TRUE(plan.ok()) << plan.status();
+      auto single = engine.Evaluate(**plan, specs);
+      ASSERT_TRUE(single.ok()) << single.status();
+      EXPECT_EQ(single->num_blocks, reference->num_blocks);
+      EXPECT_EQ(bits(single->value), bits(reference->value));
+      auto batch = engine.EvaluateBatch(**plan, {specs, specs, specs});
+      ASSERT_TRUE(batch.ok()) << batch.status();
+      for (const whatif::WhatIfResult& item : *batch) {
+        EXPECT_EQ(bits(item.value), bits(single->value));
+      }
+    }
   }
 }
 

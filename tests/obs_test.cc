@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -85,6 +86,27 @@ TEST(HistogramTest, QuantileInterpolatesWithinBuckets) {
 
 TEST(HistogramTest, QuantileOfEmptyHistogramIsZero) {
   EXPECT_DOUBLE_EQ(HistogramQuantile({1.0, 2.0}, {0, 0, 0}, 0.5), 0.0);
+}
+
+TEST(HistogramTest, LatencyBucketsResolveTheWarmPath) {
+  // A warm 1k-row what-if takes tens of microseconds; it must land in a
+  // bucket of its own below 250us, not in the first bucket of everything.
+  const std::vector<double> bounds = LatencyBuckets();
+  ASSERT_FALSE(bounds.empty());
+  EXPECT_DOUBLE_EQ(bounds.front(), 0.00001);
+  EXPECT_TRUE(std::is_sorted(bounds.begin(), bounds.end()));
+  Histogram h(bounds);
+  h.Observe(0.00008);
+  const std::vector<uint64_t> counts = h.bucket_counts();
+  const size_t bucket_250us =
+      std::find(bounds.begin(), bounds.end(), 0.00025) - bounds.begin();
+  ASSERT_LT(bucket_250us, bounds.size());
+  size_t landed = counts.size();
+  for (size_t i = 0; i < counts.size(); ++i) {
+    if (counts[i] == 1) landed = i;
+  }
+  ASSERT_LT(landed, bucket_250us);
+  EXPECT_DOUBLE_EQ(bounds[landed], 0.0001);  // 80us <= 100us
 }
 
 TEST(HistogramTest, ConcurrentObservationsKeepExactCountAndSum) {

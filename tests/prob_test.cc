@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
 #include "common/rng.h"
 #include "prob/aggregates.h"
 
@@ -140,6 +145,91 @@ TEST_P(DecomposabilitySweep, ScalingHomogeneity) {
   } else {
     EXPECT_NEAR(scaled_value, alpha * base, 1e-9);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Reduction order: block partials sum in block order inside segments of
+// kSegmentBlocks blocks, and segment partials merge in segment order.
+// ---------------------------------------------------------------------------
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+TEST_P(DecomposabilitySweep, SegmentsMergedInOrderMatchOneSequentialFold) {
+  constexpr size_t kSeg = BlockAccumulator::kSegmentBlocks;
+  static_assert(kSeg == 65536);
+  // Three full segments and a partial fourth, one or two tuples per block
+  // with fractional contributions, so any other order changes the bits.
+  const size_t num_blocks = 3 * kSeg + 4321;
+  Rng rng(7);
+  std::vector<std::vector<Contribution>> blocks(num_blocks);
+  for (auto& block : blocks) {
+    const size_t tuples = 1 + rng.UniformInt(0, 1);
+    for (size_t t = 0; t < tuples; ++t) {
+      const double w = rng.Uniform();
+      block.push_back({w, w * rng.Uniform(-3, 5)});
+    }
+  }
+
+  BlockAccumulator sequential(GetParam());
+  std::vector<BlockAccumulator> segments;
+  for (size_t b = 0; b < num_blocks; ++b) {
+    if (b % kSeg == 0) segments.emplace_back(GetParam());
+    for (BlockAccumulator* acc : {&sequential, &segments.back()}) {
+      acc->BeginBlock();
+      for (const Contribution& c : blocks[b]) {
+        acc->Add(c.weight, c.weighted_value);
+      }
+      acc->EndBlock();
+    }
+  }
+  ASSERT_EQ(segments.size(), 4u);
+  BlockAccumulator merged(GetParam());
+  for (const BlockAccumulator& segment : segments) merged.MergeSegment(segment);
+
+  // The order spelled out: each segment partial sums its block partials
+  // from 0.0 in block order; the total adds segment partials in order.
+  double want_numerator = 0.0, want_denominator = 0.0;
+  for (size_t s = 0; s < segments.size(); ++s) {
+    double seg_numerator = 0.0, seg_denominator = 0.0;
+    for (size_t b = s * kSeg; b < std::min(num_blocks, (s + 1) * kSeg); ++b) {
+      double block_numerator = 0.0, block_denominator = 0.0;
+      for (const Contribution& c : blocks[b]) {
+        block_numerator +=
+            GetParam() == AggKind::kCount ? c.weight : c.weighted_value;
+        if (GetParam() == AggKind::kAvg) block_denominator += c.weight;
+      }
+      seg_numerator += block_numerator;
+      seg_denominator += block_denominator;
+    }
+    // A segment folded on its own exposes exactly its segment partial.
+    EXPECT_EQ(Bits(segments[s].numerator()), Bits(0.0 + seg_numerator));
+    want_numerator += seg_numerator;
+    want_denominator += seg_denominator;
+  }
+
+  // The data can tell the segment order from one flat block-order sum.
+  double flat_numerator = 0.0;
+  for (const auto& block : blocks) {
+    double block_numerator = 0.0;
+    for (const Contribution& c : block) {
+      block_numerator +=
+          GetParam() == AggKind::kCount ? c.weight : c.weighted_value;
+    }
+    flat_numerator += block_numerator;
+  }
+  EXPECT_NE(Bits(flat_numerator), Bits(want_numerator));
+
+  EXPECT_EQ(sequential.num_blocks(), num_blocks);
+  EXPECT_EQ(merged.num_blocks(), num_blocks);
+  EXPECT_EQ(Bits(sequential.numerator()), Bits(want_numerator));
+  EXPECT_EQ(Bits(merged.numerator()), Bits(want_numerator));
+  EXPECT_EQ(Bits(sequential.denominator()), Bits(want_denominator));
+  EXPECT_EQ(Bits(merged.denominator()), Bits(want_denominator));
+  EXPECT_EQ(Bits(sequential.Finish().value()), Bits(merged.Finish().value()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Aggregates, DecomposabilitySweep,

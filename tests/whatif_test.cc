@@ -629,6 +629,54 @@ TEST(ColumnarPathTest, ParallelBlocksAreBitForBitDeterministic) {
   }
 }
 
+TEST(ColumnarPathTest, CsrBlocksMatchReferenceOnAmazonView) {
+  // Amazon's own cross-tuple edges are linked by PID, so each product (with
+  // its reviews) is one block and the view is the identity index. A brand
+  // edge, Quality -> Price linked by Brand (a brand's quality sets the
+  // prices of all its products), joins the products of a brand into one
+  // block: a real CSR index with several view rows per block. Evaluate and
+  // the reference interpreter walk the same index and must agree bit for
+  // bit at every thread budget.
+  data::AmazonOptions opt;
+  opt.products = 240;
+  opt.reviews_per_product = 3;
+  auto ds = data::MakeAmazonSyn(opt);
+  ASSERT_TRUE(ds.ok());
+  causal::CausalGraph graph = ds->graph;
+  graph.AddEdge("Quality", "Price", "Brand");
+  const std::string view =
+      "Use V As (Select T1.PID, T1.Category, T1.Brand, T1.Price, T1.Quality, "
+      "Avg(T2.Rating) As Rtng From Product As T1, Review As T2 "
+      "Where T1.PID = T2.PID Group By T1.PID, T1.Category, T1.Brand, "
+      "T1.Price, T1.Quality) When Brand = 'Asus' "
+      "Update(Price) = 1.1 * Pre(Price) ";
+  for (const char* output :
+       {"Output Count(Rtng >= 4)", "Output Sum(Rtng)",
+        "Output Avg(Rtng) For Pre(Category) = 'Laptop'"}) {
+    const std::string query = view + output;
+    SCOPED_TRACE(query);
+    auto stmt = sql::ParseSql(query);
+    ASSERT_TRUE(stmt.ok()) << stmt.status();
+    WhatIfOptions options;
+    options.estimator = learn::EstimatorKind::kForest;
+    options.forest.num_trees = 4;
+    options.num_threads = 1;
+    auto reference =
+        WhatIfEngine(&ds->db, &graph, options).RunReference(*stmt->whatif);
+    ASSERT_TRUE(reference.ok()) << reference.status();
+    EXPECT_GT(reference->num_blocks, 1u);
+    EXPECT_LT(reference->num_blocks, reference->view_rows);
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+      options.num_threads = threads;
+      auto result = WhatIfEngine(&ds->db, &graph, options).Run(*stmt->whatif);
+      ASSERT_TRUE(result.ok()) << result.status();
+      EXPECT_EQ(result->num_blocks, reference->num_blocks);
+      EXPECT_EQ(result->value, reference->value)  // bit-for-bit
+          << "threads=" << threads;
+    }
+  }
+}
+
 TEST(ColumnarPathTest, RepeatedRunsAreDeterministic) {
   data::GermanOptions opt;
   opt.rows = 800;
