@@ -356,8 +356,9 @@ int main(int argc, char** argv) {
   // adjustment set, the update attribute and the For/Output references).
   // The staged pipeline must serve every branch's first query by patching
   // the trunk's columnar image and reusing its Causal/Learn stages — the
-  // per-stage miss counters prove it — where a fresh standalone Run over the
-  // branch's effective database re-prepares and retrains. Answers are gated
+  // per-stage miss counters and the responses' scope_patched flags prove
+  // it, in --smoke too — where a fresh standalone Run over the branch's
+  // effective database re-prepares and retrains. Answers are gated
   // bit-identical to those fresh runs.
   const size_t fan_n = smoke ? 3 : 8;
   auto fan_branch_sql = [](size_t i) {
@@ -369,6 +370,7 @@ int main(int argc, char** argv) {
     std::vector<double> values;
     std::vector<double> prepare_seconds;
     double submit_seconds = 0.0;
+    size_t patched_scopes = 0;  // branch images patched from the trunk's
   };
   auto run_arm = [&](service::ScenarioService& svc) {
     FanArm arm;
@@ -393,6 +395,7 @@ int main(int argc, char** argv) {
       CheckOk(r.status, "fan-out submit");
       arm.values.push_back(r.whatif.value);
       arm.prepare_seconds.push_back(r.whatif.prepare_seconds);
+      if (r.whatif.scope_patched) ++arm.patched_scopes;
       parent = name;
     }
     return arm;
@@ -434,6 +437,9 @@ int main(int argc, char** argv) {
   gate_counter("causal.misses", fan_stats.causal.misses, 1);
   gate_counter("learn.misses", fan_stats.learn.misses, 1);
   gate_counter("query.misses", fan_stats.query.misses, fan_n + 1);
+  // Hardware-independent: every branch's Scope image came from patching
+  // the trunk's cached image, none from re-encoding the relation.
+  gate_counter("patched_scopes", staged_arm.patched_scopes, fan_n);
 
   double reuse_prepare = 0.0, cold_prepare = 0.0;
   for (size_t i = 0; i < fan_n; ++i) {
@@ -450,10 +456,10 @@ int main(int argc, char** argv) {
                Fmt(reuse_prepare / static_cast<double>(fan_n)),
                Fmt(fan_speedup, "%.1f")});
   std::printf("staged stage misses: scope %zu | causal %zu | learn %zu | "
-              "query %zu (plans %zu)\n",
+              "query %zu (plans %zu); patched scopes %zu of %zu\n",
               fan_stats.scope.misses, fan_stats.causal.misses,
               fan_stats.learn.misses, fan_stats.query.misses,
-              fan_stats.misses);
+              fan_stats.misses, staged_arm.patched_scopes, fan_n);
   json.Record(
       "branch_fanout",
       {{"n", static_cast<double>(fan_n)},
@@ -462,6 +468,7 @@ int main(int argc, char** argv) {
        {"staged_submit_seconds", staged_arm.submit_seconds},
        {"speedup_prepare", fan_speedup},
        {"learn_prepares", static_cast<double>(fan_stats.learn.misses)},
+       {"patched_scopes", static_cast<double>(staged_arm.patched_scopes)},
        {"equal", g_mismatches == 0 ? 1.0 : 0.0}});
 
   // -------------------------------------------------------------------

@@ -26,7 +26,11 @@ namespace hyper::internal_logging {
     }                                                                 \
   } while (0)
 
-/// Debug-only check for hot paths.
+/// Check for hot paths, compiled out only when NDEBUG is defined. The
+/// repository's builds never define it (the Release flags are plain -O2, in
+/// the top-level and the perfbench CMakeLists alike), so DCHECKs run in
+/// every build, benchmarks included, and the tests rely on them (e.g.
+/// prob::BlockAccumulator::MergeSegment's segment-order check).
 #ifndef NDEBUG
 #define HYPER_DCHECK(cond) HYPER_CHECK(cond)
 #else

@@ -203,7 +203,11 @@ StageCache::StagePtr StageCache::Peek(whatif::StageKind kind,
   Section& section = SectionOf(kind);
   MutexLock lock(&section.mu);
   auto it = section.map.find(key);
-  return it == section.map.end() ? nullptr : it->second.entry;
+  if (it == section.map.end()) return nullptr;
+  // A patch base in use stays recent, so branch traffic never ages the
+  // trunk image out from under every later branch.
+  section.lru.splice(section.lru.begin(), section.lru, it->second.lru_it);
+  return it->second.entry;
 }
 
 // --- maintenance -------------------------------------------------------------

@@ -116,9 +116,10 @@ class StageCache : public whatif::StageProvider {
   Result<StagePtr> GetOrBuild(whatif::StageKind kind, const std::string& key,
                               const StageFactory& build, bool* hit) override;
 
-  /// Returns the cached stage or nullptr without building. Does not touch
-  /// recency or the hit/miss counters (it locates delta-patch bases, it
-  /// does not serve queries).
+  /// Returns the cached stage or nullptr without building. A found entry
+  /// moves to the front of the LRU (a patch base in use must not age out
+  /// under branch traffic); the hit/miss counters are untouched (it locates
+  /// delta-patch bases, it does not serve queries).
   StagePtr Peek(whatif::StageKind kind, const std::string& key) override;
 
   // --- maintenance --------------------------------------------------------

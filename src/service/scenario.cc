@@ -10,19 +10,6 @@ size_t ScenarioBranch::overridden_cells() const {
   return total;
 }
 
-std::vector<std::string> ScenarioBranch::TouchedRelations() const {
-  std::vector<std::string> out;
-  out.reserve(overrides_.size());
-  for (const auto& [relation, _] : overrides_) out.push_back(relation);
-  return out;
-}
-
-ScenarioBranch::RelationOverrides ScenarioBranch::OverridesFor(
-    const std::string& relation) const {
-  auto it = overrides_.find(relation);
-  return it == overrides_.end() ? RelationOverrides{} : it->second;
-}
-
 uint64_t ScenarioBranch::FingerprintRestricted(
     const std::string& relation, const std::vector<size_t>& attrs) const {
   return FingerprintRestricted(overrides_, relation, attrs);

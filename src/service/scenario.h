@@ -19,10 +19,13 @@ namespace hyper::service {
 /// starts with the parent's deltas (chaining); later updates merge cell by
 /// cell, later writes winning.
 ///
-/// Overrides are relative to the *base* database. The ScenarioService
-/// materializes a touched relation by patching a copy of the base table
-/// (once per branch version, outside its lock, cached in its BranchState);
-/// untouched relations are shared with the base via Database::ShallowCopy.
+/// Overrides are relative to the *base* database and hold absolute values.
+/// The ScenarioService serves table-view what-ifs from the base database
+/// plus these cells (patching the cached columnar image), and materializes
+/// a touched relation by patching a copy of the base table only for
+/// consumers that read a branch's rows (once per branch version, outside
+/// its lock, cached in its BranchState); untouched relations are shared
+/// with the base via Database::ShallowCopy.
 class ScenarioBranch {
  public:
   /// tid -> value overrides of one attribute. Aliases the storage-layer
@@ -79,12 +82,6 @@ class ScenarioBranch {
   bool touches(const std::string& relation) const {
     return overrides_.count(relation) > 0;
   }
-  std::vector<std::string> TouchedRelations() const;
-
-  /// Snapshot of one relation's overrides (empty when untouched). The copy
-  /// is O(overridden cells), so callers can patch tables outside any lock
-  /// guarding the branch.
-  RelationOverrides OverridesFor(const std::string& relation) const;
 
   /// The branch's whole delta (base-relative), by const reference — callers
   /// needing a lock-free snapshot copy it (O(cells)).

@@ -13,7 +13,7 @@
 namespace hyper::service {
 
 ScenarioService::ScenarioService(Database base, ServiceOptions options)
-    : base_(std::move(base)),
+    : base_(std::make_shared<const Database>(std::move(base))),
       options_(options),
       cache_(options.plan_cache_capacity) {
   branches_.emplace("main", BranchState{ScenarioBranch("main", ""),
@@ -26,11 +26,14 @@ ScenarioService::ScenarioService(Database base, ServiceOptions options)
 
 ScenarioService::ScenarioService(Database base, causal::CausalGraph graph,
                                  ServiceOptions options)
-    : base_(std::move(base)),
+    : base_(std::make_shared<const Database>(std::move(base))),
       graph_(std::move(graph)),
       has_graph_(true),
       options_(options),
       cache_(options.plan_cache_capacity) {
+  cross_tuple_ = std::any_of(
+      graph_.edges().begin(), graph_.edges().end(),
+      [](const causal::CausalEdge& e) { return e.is_cross_tuple(); });
   branches_.emplace("main", BranchState{ScenarioBranch("main", ""),
                                         next_branch_id_++, ~0ULL, nullptr});
   if (options_.metrics != nullptr) {
@@ -49,7 +52,7 @@ void ScenarioService::InitDurability() {
   dopts.metrics = options_.metrics;
   Stopwatch timer;
   auto opened =
-      durability::Manager::Open(std::move(dopts), base_.ContentFingerprint());
+      durability::Manager::Open(std::move(dopts), base_->ContentFingerprint());
   if (!opened.ok()) {
     recovery_status_ = opened.status();
     return;
@@ -381,80 +384,78 @@ whatif::StageContext ScenarioService::StageContextFor(const World& world) {
 
 Result<ScenarioService::World> ScenarioService::SnapshotWorld(
     const std::string& scenario) {
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    World world;
-    Database base_shallow;
-    std::vector<std::pair<std::string, ScenarioBranch::RelationOverrides>>
-        touched;
-    {
-      MutexLock lock(&mu_);
-      HYPER_ASSIGN_OR_RETURN(BranchState * state, FindBranchLocked(scenario));
-      world.scope = ScopeLocked(*state);
-      world.branch_id = state->id;
-      world.branch_version = state->branch.version();
-      world.generation = generation_;
-      // Override snapshot for the staged pipeline (O(cells) copy, cached
-      // per branch version like the materialization).
-      if (state->overrides == nullptr ||
-          state->overrides_version != state->branch.version()) {
-        state->overrides = std::make_shared<const ScenarioBranch::OverrideMap>(
-            state->branch.overrides());
-        state->overrides_version = state->branch.version();
-      }
-      world.overrides = state->overrides;
-      if (state->effective != nullptr &&
-          state->effective_version == state->branch.version()) {
-        world.db = state->effective;
-        return world;
-      }
-      // Snapshot what the rebuild needs: shared base handles (O(#relations))
-      // and the override cells (O(cells)) — never O(rows) under the lock.
-      base_shallow = base_.ShallowCopy();
-      for (const std::string& relation : state->branch.TouchedRelations()) {
-        touched.emplace_back(relation, state->branch.OverridesFor(relation));
-      }
-    }
-
-    // Copy-on-write materialization at relation granularity, outside the
-    // lock: touched relations are patched copies, everything else shares
-    // the base storage.
-    auto effective = std::make_shared<Database>(std::move(base_shallow));
-    for (const auto& [relation, overrides] : touched) {
-      HYPER_ASSIGN_OR_RETURN(const Table* base_table,
-                             effective->GetTable(relation));
-      auto patched = std::make_shared<Table>(*base_table);
-      for (const auto& [attr, cells] : overrides) {
-        for (const auto& [tid, value] : cells) {
-          if (tid >= patched->num_rows() ||
-              attr >= patched->schema().num_attributes()) {
-            continue;  // stale override beyond the base shape
-          }
-          patched->SetValue(tid, attr, value);
-        }
-      }
-      HYPER_RETURN_NOT_OK(effective->PutTable(std::move(patched)));
-    }
-
-    MutexLock lock(&mu_);
-    HYPER_ASSIGN_OR_RETURN(BranchState * state, FindBranchLocked(scenario));
-    if (state->id != world.branch_id ||
-        state->branch.version() != world.branch_version) {
-      continue;  // the branch moved (or was recreated) meanwhile; retry
-    }
-    state->effective = effective;
-    state->effective_version = world.branch_version;
-    world.db = std::move(effective);
-    return world;
+  World world;
+  MutexLock lock(&mu_);
+  HYPER_ASSIGN_OR_RETURN(BranchState * state, FindBranchLocked(scenario));
+  world.scope = ScopeLocked(*state);
+  world.branch_id = state->id;
+  world.branch_version = state->branch.version();
+  world.generation = generation_;
+  // Override snapshot (O(cells) copy, cached per branch version).
+  if (state->overrides == nullptr ||
+      state->overrides_version != state->branch.version()) {
+    state->overrides = std::make_shared<const ScenarioBranch::OverrideMap>(
+        state->branch.overrides());
+    state->overrides_version = state->branch.version();
   }
-  return Status::FailedPrecondition(
-      "scenario '" + scenario +
-      "' is being updated concurrently; retry the request");
+  world.overrides = state->overrides;
+  if (state->effective != nullptr &&
+      state->effective_version == state->branch.version()) {
+    world.db = state->effective;
+    world.materialized = true;
+  } else {
+    world.db = base_;
+    world.materialized = world.overrides->empty();
+  }
+  return world;
+}
+
+Result<ScenarioService::World> ScenarioService::Materialize(
+    const std::string& scenario, World world) {
+  if (world.materialized) return world;
+  // Copy-on-write at relation granularity, outside the lock: touched
+  // relations are patched copies, everything else shares the base storage.
+  // The snapshot's own overrides define the rows, so the result is the
+  // snapshot's world even if the branch has moved on since.
+  auto effective = std::make_shared<Database>(world.db->ShallowCopy());
+  for (const auto& [relation, overrides] : *world.overrides) {
+    HYPER_ASSIGN_OR_RETURN(const Table* base_table,
+                           effective->GetTable(relation));
+    auto patched = std::make_shared<Table>(*base_table);
+    for (const auto& [attr, cells] : overrides) {
+      for (const auto& [tid, value] : cells) {
+        if (tid >= patched->num_rows() ||
+            attr >= patched->schema().num_attributes()) {
+          continue;  // stale override beyond the base shape
+        }
+        patched->SetValue(tid, attr, value);
+      }
+    }
+    HYPER_RETURN_NOT_OK(effective->PutTable(std::move(patched)));
+  }
+  world.db = std::move(effective);
+  world.materialized = true;
+
+  MutexLock lock(&mu_);
+  auto found = FindBranchLocked(scenario);
+  if (found.ok() && (*found)->id == world.branch_id &&
+      (*found)->branch.version() == world.branch_version) {
+    (*found)->effective = world.db;
+    (*found)->effective_version = world.branch_version;
+  }
+  return world;
+}
+
+bool ScenarioService::ReadsBranchRows(const sql::Statement& stmt) const {
+  if (stmt.whatif == nullptr) return true;  // how-to, select
+  return !stmt.whatif->use.is_table() || cross_tuple_;
 }
 
 Result<std::shared_ptr<const Database>> ScenarioService::EffectiveDatabase(
     const std::string& scenario) {
   HYPER_RETURN_NOT_OK(recovery_status_);
   HYPER_ASSIGN_OR_RETURN(World world, SnapshotWorld(scenario));
+  HYPER_ASSIGN_OR_RETURN(world, Materialize(scenario, std::move(world)));
   return world.db;
 }
 
@@ -480,14 +481,19 @@ struct HypotheticalDelta {
   size_t updated_rows = 0;
 };
 
+/// Computes the delta over the relation's columnar image in the world `ctx`
+/// describes (RelationImage: the cached branch or base image, no row scan
+/// and no copy of the relation), so chained updates compose: When reads the
+/// branch's current values.
 Result<HypotheticalDelta> ComputeHypotheticalDelta(
-    const Database& eff, const sql::WhatIfStmt& stmt) {
+    const Database& db, const whatif::StageContext& ctx,
+    const sql::WhatIfStmt& stmt) {
   HypotheticalDelta delta;
   // All update attributes must live in one relation (the engine's relevant
   // view has the same contract).
   HYPER_ASSIGN_OR_RETURN(delta.relation,
-                         eff.RelationOfAttribute(stmt.updates[0].attribute));
-  HYPER_ASSIGN_OR_RETURN(const Table* table, eff.GetTable(delta.relation));
+                         db.RelationOfAttribute(stmt.updates[0].attribute));
+  HYPER_ASSIGN_OR_RETURN(const Table* table, db.GetTable(delta.relation));
   const Schema& schema = table->schema();
   for (const sql::UpdateClause& u : stmt.updates) {
     if (!schema.Contains(u.attribute)) {
@@ -503,23 +509,15 @@ Result<HypotheticalDelta> ComputeHypotheticalDelta(
     delta.attr_of_update.push_back(idx);
   }
 
-  // S from the When predicate, over the *branch-effective* relation so
-  // chained updates compose.
+  // S from the When predicate over the branch's image of the relation.
+  HYPER_ASSIGN_OR_RETURN(ColumnTable image,
+                         whatif::RelationImage(db, delta.relation, &ctx));
+  HYPER_ASSIGN_OR_RETURN(
+      std::vector<uint8_t> mask,
+      relational::EvalPredicateMask(stmt.when.get(), image));
   std::vector<size_t> s_rows;
-  if (stmt.when == nullptr) {
-    s_rows.resize(table->num_rows());
-    for (size_t r = 0; r < table->num_rows(); ++r) s_rows[r] = r;
-  } else {
-    const std::vector<relational::ScopedTuple> scope{
-        relational::ScopedTuple{delta.relation, &schema}};
-    HYPER_ASSIGN_OR_RETURN(
-        relational::CompiledExpr compiled,
-        relational::CompiledExpr::Compile(*stmt.when, scope));
-    for (size_t r = 0; r < table->num_rows(); ++r) {
-      const relational::BoundRow frame{&table->row(r), nullptr};
-      HYPER_ASSIGN_OR_RETURN(bool sel, compiled.EvalRowBool(&frame));
-      if (sel) s_rows.push_back(r);
-    }
+  for (size_t r = 0; r < mask.size(); ++r) {
+    if (mask[r] != 0) s_rows.push_back(r);
   }
   delta.updated_rows = s_rows.size();
 
@@ -534,7 +532,7 @@ Result<HypotheticalDelta> ComputeHypotheticalDelta(
     delta.cells[j].reserve(s_rows.size());
     for (size_t r : s_rows) {
       HYPER_ASSIGN_OR_RETURN(
-          Value post, spec.Apply(table->At(r, delta.attr_of_update[j])));
+          Value post, spec.Apply(image.GetValue(r, delta.attr_of_update[j])));
       // The same type rule Table::Append enforces: a branch write must not
       // leave a column the base data could never hold (e.g. a string in an
       // int column, which no columnar image can represent).
@@ -574,8 +572,9 @@ Result<size_t> ScenarioService::ApplyHypothetical(
   // new world.
   for (int attempt = 0; attempt < 8; ++attempt) {
     HYPER_ASSIGN_OR_RETURN(World world, SnapshotWorld(scenario));
+    const whatif::StageContext ctx = StageContextFor(world);
     HYPER_ASSIGN_OR_RETURN(HypotheticalDelta delta,
-                           ComputeHypotheticalDelta(*world.db, stmt));
+                           ComputeHypotheticalDelta(*world.db, ctx, stmt));
     if (delta.updated_rows == 0) return size_t{0};  // nothing to record
 
     MutexLock lock(&mu_);
@@ -626,7 +625,7 @@ Result<size_t> ScenarioService::ApplyHypothetical(
 }
 
 Response ScenarioService::Dispatch(const Request& request,
-                                   const World& world) {
+                                   const World& snapshot) {
   Response response;
   Stopwatch timer;
 
@@ -635,6 +634,14 @@ Response ScenarioService::Dispatch(const Request& request,
     response.status = parsed.status();
     return response;
   }
+  auto materialized = ReadsBranchRows(*parsed)
+                          ? Materialize(request.scenario, snapshot)
+                          : Result<World>(snapshot);
+  if (!materialized.ok()) {
+    response.status = materialized.status();
+    return response;
+  }
+  const World& world = *materialized;
 
   const whatif::WhatIfOptions opts =
       request.whatif_options.has_value() ? *request.whatif_options
@@ -916,6 +923,9 @@ Result<std::vector<WhatIfBatchItem>> ScenarioService::DoSubmitWhatIfBatch(
     return Status::InvalidArgument("SubmitWhatIfBatch expects a what-if "
                                    "statement");
   }
+  if (ReadsBranchRows(parsed)) {
+    HYPER_ASSIGN_OR_RETURN(world, Materialize(scenario, std::move(world)));
+  }
 
   // One guard for the whole sweep (when the service defaults carry a budget
   // or token): Prepare and every intervention draw down the same deadline
@@ -971,7 +981,7 @@ Status ScenarioService::ReloadDataset(Database base) {
     record.base_fingerprint = base.ContentFingerprint();
     HYPER_RETURN_NOT_OK(durable_->AppendReload(record));
   }
-  base_ = std::move(base);
+  base_ = std::make_shared<const Database>(std::move(base));
   ++generation_;
   branches_.clear();
   branches_.emplace("main", BranchState{ScenarioBranch("main", ""),

@@ -263,9 +263,11 @@ class ScenarioService {
   durability::WalStats wal_stats() const;
 
   /// The branch's current world: base relations shared structurally,
-  /// touched relations patched (built lazily, cached per branch version).
-  /// The returned snapshot stays valid while queries hold it, even across
-  /// later branch mutations.
+  /// touched relations patched copies (built on first use, cached per
+  /// branch version). A table-view what-if never needs it: it is served
+  /// from the base database plus the branch's override cells. The returned
+  /// snapshot stays valid while queries hold it, even across later branch
+  /// mutations.
   Result<std::shared_ptr<const Database>> EffectiveDatabase(
       const std::string& scenario);
 
@@ -281,7 +283,8 @@ class ScenarioService {
     /// under the same name gets a fresh id, so optimistic version checks
     /// cannot ABA onto an unrelated branch.
     uint64_t id = 0;
-    /// Cached effective world; rebuilt when branch.version() moves on.
+    /// Cached materialized world (see Materialize); rebuilt when
+    /// branch.version() moves on.
     uint64_t effective_version = ~0ULL;
     std::shared_ptr<const Database> effective;
     /// Cached override snapshot handed to requests (stage keys, delta
@@ -310,22 +313,45 @@ class ScenarioService {
 
   /// Snapshot of everything a request needs. (branch_id, branch_version)
   /// identify the exact world, for optimistic writers.
+  ///
+  /// The world's cell values are `db` with `overrides` applied. `db` is the
+  /// base database (shared, never copied) until a consumer that reads the
+  /// branch's rows asks for them through Materialize: select-view Use
+  /// clauses and graphs with cross-tuple edges (what-if), how-to, select,
+  /// and EffectiveDatabase. A table-view what-if on a graph without
+  /// cross-tuple edges, and ApplyHypothetical, run on the base plus the
+  /// overrides: the engine patches the cached base image with them
+  /// (whatif::StageContext).
   struct World {
     std::shared_ptr<const Database> db;
+    /// `db` already holds the overrides: a materialized branch, or a world
+    /// without overrides.
+    bool materialized = false;
     std::string scope;
     uint64_t branch_id = 0;
     uint64_t branch_version = 0;
     uint64_t generation = 0;
     /// The branch's delta, base-relative (shared, immutable snapshot): the
-    /// staged pipeline keys LearnStage reuse and patches columnar images
-    /// from it.
+    /// authoritative values of its cells. The staged pipeline patches
+    /// columnar images from it and keys LearnStage reuse on it.
     std::shared_ptr<const ScenarioBranch::OverrideMap> overrides;
   };
 
-  /// Returns the branch's current world, materializing touched relations
-  /// outside the service lock (O(rows) copies never block other requests);
-  /// the result is cached per branch version.
+  /// Returns the branch's current world in O(1) under the service lock: the
+  /// cached materialized database when this branch version has one, the
+  /// shared base database otherwise. Never copies rows.
   Result<World> SnapshotWorld(const std::string& scenario) EXCLUDES(mu_);
+
+  /// Returns `world` with a database holding its overrides: the touched
+  /// relations are patched copies, made outside the service lock, once per
+  /// branch version (cached on the branch while it is still at that
+  /// version).
+  Result<World> Materialize(const std::string& scenario, World world)
+      EXCLUDES(mu_);
+
+  /// Whether serving `stmt` reads the branch's rows rather than only the
+  /// columnar image (see World).
+  bool ReadsBranchRows(const sql::Statement& stmt) const;
 
   Response Dispatch(const Request& request, const World& world);
 
@@ -353,12 +379,16 @@ class ScenarioService {
   whatif::StageContext StageContextFor(const World& world);
 
   mutable Mutex mu_;
-  Database base_ GUARDED_BY(mu_);
-  /// graph_ / has_graph_ / options_ / cache_ / instruments_ are set in the
-  /// constructor and immutable afterwards (cache_ is internally locked), so
-  /// they are intentionally unguarded.
+  /// Replaced whole by ReloadDataset; worlds share it, never copy it.
+  std::shared_ptr<const Database> base_ GUARDED_BY(mu_);
+  /// graph_ / has_graph_ / cross_tuple_ / options_ / cache_ / instruments_
+  /// are set in the constructor and immutable afterwards (cache_ is
+  /// internally locked), so they are intentionally unguarded.
   causal::CausalGraph graph_;
   bool has_graph_ = false;
+  /// The graph has a cross-tuple edge: its ground-graph blocks read the
+  /// branch's rows.
+  bool cross_tuple_ = false;
   /// Bumped by ReloadDataset; prefixes every plan-cache scope.
   uint64_t generation_ GUARDED_BY(mu_) = 1;
   uint64_t next_branch_id_ GUARDED_BY(mu_) = 1;

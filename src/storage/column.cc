@@ -85,10 +85,10 @@ Result<ColumnTable> ColumnTable::FromTable(const Table& table,
                               : std::make_shared<Dictionary>();
   const size_t n = table.num_rows();
   const size_t num_attrs = table.schema().num_attributes();
-  out.columns_.resize(num_attrs);
+  out.columns_.reserve(num_attrs);
 
   for (size_t a = 0; a < num_attrs; ++a) {
-    Column& col = out.columns_[a];
+    Column& col = *out.columns_.emplace_back(std::make_shared<Column>());
     HYPER_ASSIGN_OR_RETURN(col.kind, InferKind(table, a));
     switch (col.kind) {
       case ColumnKind::kInt64: col.i64.resize(n); break;
@@ -129,7 +129,7 @@ Result<ColumnTable> ColumnTable::FromTable(const Table& table,
 }
 
 Value ColumnTable::GetValue(size_t row, size_t attr) const {
-  const Column& col = columns_[attr];
+  const Column& col = *columns_[attr];
   if (col.is_null(row)) return Value::Null();
   switch (col.kind) {
     case ColumnKind::kInt64: return Value::Int(col.i64[row]);
@@ -141,7 +141,7 @@ Value ColumnTable::GetValue(size_t row, size_t attr) const {
 }
 
 Result<std::vector<double>> ColumnTable::ColumnAsDoubles(size_t attr) const {
-  const Column& col = columns_[attr];
+  const Column& col = *columns_[attr];
   if (col.kind == ColumnKind::kCode) {
     return Status::InvalidArgument(
         "cannot coerce string column '" + schema_.attribute(attr).name +
@@ -191,79 +191,166 @@ std::vector<size_t> ColumnTable::DirtySegments(
   return out;
 }
 
+Column& ColumnTable::MutableColumn(size_t attr) {
+  // use_count() == 1 means no other image holds the column, and none can
+  // gain it without reading this (non-const, hence unshared) image.
+  std::shared_ptr<Column>& col = columns_[attr];
+  if (col.use_count() != 1) col = std::make_shared<Column>(*col);
+  return *col;
+}
+
+namespace {
+
+/// Value families present among the in-shape override cells of one column.
+struct CellFamilies {
+  bool boolean = false, integer = false, real = false, string = false;
+
+  bool numeric() const { return boolean || integer || real; }
+};
+
+/// Kind FromTable infers for a column holding only the values `f` saw.
+ColumnKind InferredKind(const CellFamilies& f) {
+  if (f.string) return ColumnKind::kCode;
+  if (f.real || (f.integer && f.boolean)) return ColumnKind::kDouble;
+  if (f.integer) return ColumnKind::kInt64;
+  return ColumnKind::kBool;
+}
+
+/// Turns a kInt64 or kBool column into kDouble holding the same numbers
+/// (NULL slots hold 0.0, as FromTable leaves them).
+void WidenToDouble(Column* col, size_t n) {
+  col->f64.resize(n);
+  if (col->kind == ColumnKind::kInt64) {
+    for (size_t r = 0; r < n; ++r) {
+      col->f64[r] = static_cast<double>(col->i64[r]);
+    }
+  } else {
+    for (size_t r = 0; r < n; ++r) col->f64[r] = col->b8[r] != 0 ? 1.0 : 0.0;
+  }
+  std::vector<int64_t>().swap(col->i64);
+  std::vector<uint8_t>().swap(col->b8);
+  col->kind = ColumnKind::kDouble;
+}
+
+/// Replaces `col` with an all-NULL column of `kind` (the shape FromTable
+/// gives NULL cells); the caller then writes the override cells into it.
+void ResetToNulls(Column* col, ColumnKind kind, size_t n) {
+  *col = Column();
+  col->kind = kind;
+  switch (kind) {
+    case ColumnKind::kInt64: col->i64.assign(n, 0); break;
+    case ColumnKind::kDouble: col->f64.assign(n, 0.0); break;
+    case ColumnKind::kBool: col->b8.assign(n, 0); break;
+    case ColumnKind::kCode: col->codes.assign(n, Dictionary::kNullCode); break;
+  }
+  col->nulls.assign(n, 1);
+}
+
+}  // namespace
+
 Status ColumnTable::ApplyOverrides(const TableCellOverrides& overrides) {
-  // Pass 1 (sequential): validate every in-shape cell and intern unseen
-  // strings before anything is written, so a kind mismatch rejects the whole
-  // patch with the image untouched. The dictionary is detached at most once:
-  // the first unseen string pays one deep copy (so the patch source, which
+  // Pass 1 (read-only): resolve the kind every touched column must take to
+  // hold its surviving values plus the overrides — the kind FromTable would
+  // infer over the patched rows, or a wider numeric one. Nothing is written
+  // until every column has resolved, so an error leaves the image untouched.
+  enum class Change : uint8_t { kNone, kWiden, kReset };
+  struct Plan {
+    Change change = Change::kNone;
+    ColumnKind kind = ColumnKind::kDouble;
+  };
+  std::vector<Plan> plans(columns_.size());
+  for (const auto& [attr, cells] : overrides) {
+    if (attr >= columns_.size()) continue;  // stale override beyond the shape
+    const Column& col = *columns_[attr];
+    CellFamilies f;
+    size_t overwritten_values = 0;  // in-shape cells over a non-NULL value
+    for (const auto& [row, value] : cells) {
+      if (row >= num_rows_) continue;  // stale override beyond the shape
+      if (!col.is_null(row)) ++overwritten_values;
+      switch (value.type()) {
+        case ValueType::kNull: break;
+        case ValueType::kBool: f.boolean = true; break;
+        case ValueType::kInt: f.integer = true; break;
+        case ValueType::kDouble: f.real = true; break;
+        case ValueType::kString: f.string = true; break;
+      }
+    }
+    if (!f.string && !f.numeric()) continue;  // NULLs fit every kind
+    const bool holds_strings = col.kind == ColumnKind::kCode;
+    if (f.string == holds_strings && !(f.string && f.numeric())) {
+      // Same family: strings into kCode, or numbers into a numeric column,
+      // which widens to kDouble unless every value already fits its kind.
+      const bool fits =
+          col.kind == ColumnKind::kCode || col.kind == ColumnKind::kDouble ||
+          (col.kind == ColumnKind::kInt64 && !f.real && !f.boolean) ||
+          (col.kind == ColumnKind::kBool && !f.real && !f.integer);
+      if (!fits) plans[attr] = Plan{Change::kWiden, ColumnKind::kDouble};
+      continue;
+    }
+    // Strings meet numbers. FromTable accepts that only when no value of
+    // the column's old family survives the patch.
+    size_t values = num_rows_;
+    if (col.has_nulls()) {
+      for (uint8_t null : col.nulls) values -= null;
+    }
+    if ((f.string && f.numeric()) || values > overwritten_values) {
+      return Status::InvalidArgument(
+          "column '" + schema_.attribute(attr).name +
+          "' mixes strings with numeric values; cannot columnarize");
+    }
+    plans[attr] = Plan{Change::kReset, InferredKind(f)};
+  }
+
+  // Pass 2 (sequential): apply the kind changes, then intern unseen strings
+  // and flatten the cells. The dictionary is detached at most once: the
+  // first unseen string pays one deep copy (so the patch source, which
   // shares dict_, is never mutated), every later one interns into the
   // already-private copy. After this pass the dictionary is read-only, so
-  // the patch pass may Find() from any thread.
+  // the write pass may run on any thread.
   struct PatchCell {
-    size_t attr;
+    Column* col;
     size_t row;
     const Value* value;
     int32_t code;  // resolved dictionary code for kCode cells
   };
   std::vector<PatchCell> cells_flat;
-  std::vector<uint8_t> needs_nulls(columns_.size(), 0);
   bool dict_private = false;
   for (const auto& [attr, cells] : overrides) {
-    if (attr >= columns_.size()) continue;  // stale override beyond the shape
-    Column& col = columns_[attr];
+    if (attr >= columns_.size()) continue;
+    Column* col = nullptr;
     for (const auto& [row, value] : cells) {
-      if (row >= num_rows_) continue;  // stale override beyond the shape
-      int32_t code = Dictionary::kNullCode;
-      if (value.is_null()) {
-        if (col.nulls.empty()) needs_nulls[attr] = 1;
-      } else {
-        bool fits = false;
-        switch (col.kind) {
-          case ColumnKind::kInt64:
-            fits = value.type() == ValueType::kInt;
-            break;
-          case ColumnKind::kDouble:
-            // kDouble already means "numeric, possibly mixed": FromTable
-            // stores every numeric value through AsDouble here, so ints and
-            // bools patch in without changing the inferred kind.
-            fits = value.is_numeric();
-            break;
-          case ColumnKind::kBool:
-            fits = value.type() == ValueType::kBool;
-            break;
-          case ColumnKind::kCode:
-            fits = value.type() == ValueType::kString;
-            if (fits) {
-              code = dict_->Find(value.string_value());
-              if (code == Dictionary::kNullCode) {
-                if (!dict_private) {
-                  dict_ = std::make_shared<Dictionary>(*dict_);
-                  dict_private = true;
-                }
-                code = dict_->Intern(value.string_value());
-              }
-            }
-            break;
-        }
-        if (!fits) {
-          return Status::FailedPrecondition(
-              "override value " + value.ToString() + " does not fit " +
-              ColumnKindName(col.kind) + " column '" +
-              schema_.attribute(attr).name + "'; rebuild from the table");
+      if (row >= num_rows_) continue;
+      if (col == nullptr) {
+        // First in-shape cell: detach the column and settle its kind.
+        col = &MutableColumn(attr);
+        if (plans[attr].change == Change::kWiden) {
+          WidenToDouble(col, num_rows_);
+        } else if (plans[attr].change == Change::kReset) {
+          ResetToNulls(col, plans[attr].kind, num_rows_);
         }
       }
-      cells_flat.push_back(PatchCell{attr, row, &value, code});
+      int32_t code = Dictionary::kNullCode;
+      if (value.is_null()) {
+        if (col->nulls.empty()) col->nulls.resize(num_rows_, 0);
+      } else if (col->kind == ColumnKind::kCode) {
+        code = dict_->Find(value.string_value());
+        if (code == Dictionary::kNullCode) {
+          if (!dict_private) {
+            dict_ = std::make_shared<Dictionary>(*dict_);
+            dict_private = true;
+          }
+          code = dict_->Intern(value.string_value());
+        }
+      }
+      cells_flat.push_back(PatchCell{col, row, &value, code});
     }
   }
-  for (size_t a = 0; a < columns_.size(); ++a) {
-    if (needs_nulls[a]) columns_[a].nulls.resize(num_rows_, 0);
-  }
 
-  // Pass 2: patch. Cells in different segments touch disjoint rows, so large
-  // patches shard per dirty segment — the written image is identical at any
-  // thread count (each cell is written exactly once, by exactly one shard).
-  const auto patch_one = [this](const PatchCell& cell) {
-    Column& col = columns_[cell.attr];
+  // Pass 3: write. Cells in different segments touch disjoint rows, so
+  // large patches shard per dirty segment — the written image is identical
+  // at any thread count (each cell is written exactly once, by one shard).
+  const auto patch_one = [](const PatchCell& cell) {
+    Column& col = *cell.col;
     const Value& value = *cell.value;
     if (value.is_null()) {
       col.nulls[cell.row] = 1;

@@ -77,7 +77,8 @@ struct Column {
 ///
 /// ColumnTable is a read-optimized projection, not a second source of truth:
 /// engines build one from the row store once per query and stream over the
-/// typed vectors. The physical kind of each column is inferred from the
+/// typed vectors. Copies share their columns (copy-on-write), so a patched
+/// copy of a cached image (ApplyOverrides) holds only the columns it wrote. The physical kind of each column is inferred from the
 /// stored values (the row store is loosely typed); a column mixing ints and
 /// doubles is promoted to kDouble, which preserves Equals/Compare/Hash
 /// semantics for every value the generators produce (|int| < 2^53).
@@ -93,7 +94,7 @@ class ColumnTable {
   size_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return columns_.size(); }
 
-  const Column& col(size_t attr) const { return columns_[attr]; }
+  const Column& col(size_t attr) const { return *columns_[attr]; }
   const Dictionary& dict() const { return *dict_; }
   const std::shared_ptr<Dictionary>& shared_dict() const { return dict_; }
 
@@ -114,26 +115,29 @@ class ColumnTable {
   /// patched table through FromTable. Cells beyond the table shape are
   /// skipped (matching the scenario service's stale-override semantics).
   ///
-  /// Every patched cell must fit the column's physical kind as inferred at
-  /// build time — int into kInt64/kDouble, double into kDouble, bool into
-  /// kBool, string into kCode, NULL anywhere; anything else (e.g. a double
-  /// landing in an all-int column, which FromTable would have promoted to
-  /// kDouble) returns FailedPrecondition, and the caller must rebuild from
-  /// the table instead (only the dictionary may have grown). On OK the
-  /// image is value-for-value (Equals) identical to FromTable over the
-  /// patched rows; the physical kind may stay wider than a rebuild would
-  /// infer (overrides erasing a column's only double keep it kDouble),
-  /// which preserves Equals/Compare/Hash semantics per the mixed-column
-  /// contract.
+  /// Total over what FromTable accepts: the image afterwards is value-for-
+  /// value (Equals) identical to FromTable over the patched rows, and the
+  /// call fails exactly when that FromTable would, with the same
+  /// InvalidArgument (a column left holding strings beside numbers). A cell
+  /// that does not fit its column's kind widens the column the way FromTable
+  /// infers it: a double, or a bool beside ints, turns a kInt64 column into
+  /// kDouble, and an int or double does the same to a kBool column. A column
+  /// whose every surviving value is overridden takes the overrides' kind.
+  /// The kind may stay wider than a rebuild would infer (overrides erasing a
+  /// column's only double keep it kDouble), which preserves
+  /// Equals/Compare/Hash semantics per the mixed-column contract.
   ///
-  /// A string override absent from the dictionary triggers a private copy of
-  /// the dictionary before interning, so images sharing the original
-  /// dictionary (the patch source) are never mutated under concurrent reads.
+  /// Columns are shared copy-on-write between copies of an image, so a copy
+  /// costs O(columns) and a patch copies only the columns it writes. A
+  /// string override absent from the dictionary triggers a private copy of
+  /// the dictionary before interning. Either way the images sharing the
+  /// original storage (the patch source) are never mutated under concurrent
+  /// reads.
   ///
-  /// Overrides are validated (and strings interned) in one sequential pass
-  /// before any cell is written, so FailedPrecondition now leaves the image
-  /// untouched; large patches are then applied in parallel per segment
-  /// (disjoint row ranges, so the result is independent of thread count).
+  /// Every column's new kind is resolved before any cell is written, so an
+  /// error leaves the image untouched; large patches are then applied in
+  /// parallel per segment (disjoint row ranges, so the result is independent
+  /// of thread count).
   Status ApplyOverrides(const TableCellOverrides& overrides);
 
   /// Fixed segment size for parallel kernels: ApplyOverrides, When-mask
@@ -158,9 +162,14 @@ class ColumnTable {
   std::vector<size_t> DirtySegments(const TableCellOverrides& overrides) const;
 
  private:
+  /// Column `attr` for writing: copied first when another image shares it.
+  Column& MutableColumn(size_t attr);
+
   Schema schema_;
   size_t num_rows_ = 0;
-  std::vector<Column> columns_;
+  /// Shared between copies of the image; written only through
+  /// MutableColumn, which detaches a shared column first.
+  std::vector<std::shared_ptr<Column>> columns_;
   std::shared_ptr<Dictionary> dict_;
 };
 

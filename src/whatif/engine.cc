@@ -1152,14 +1152,19 @@ Result<double> ReadColumnDouble(const ColumnTable& cview, const Column& col,
 
 }  // namespace
 
-/// ScopeStage: the materialized relevant view and its columnar image. For a
-/// scenario branch this is the only stage that must re-materialize data —
-/// and when the base world's ScopeStage is cached, it is built by patching
-/// the base image in place from the branch's sparse override cells
-/// (ColumnTable::ApplyOverrides) instead of re-encoding the whole table.
+/// ScopeStage: the relevant view and its columnar image. For a scenario
+/// branch this is the only stage whose data changes. A table view's image is
+/// the base world's cached image patched with the branch's sparse override
+/// cells (ColumnTable::ApplyOverrides, which copies only the columns it
+/// writes), so a branch costs O(delta), not a re-encode of the relation.
 struct ScopeStageData {
+  /// Schema, key columns and row -> tid mapping. For a table view the rows
+  /// are the engine database's relation, which may be the unpatched base:
+  /// the snapshot's cell values are `cview`, and nothing reads them here.
   std::shared_ptr<const ViewInfo> view_info;
   ColumnTable cview;
+  /// `cview` was patched from the cached base image (no encode).
+  bool patched = false;
   /// Compile scope for expressions over the view (points into view_info's
   /// schema, which this stage keeps alive).
   std::vector<relational::ScopedTuple> scope;
@@ -1460,19 +1465,61 @@ std::string QueryShapeKey(const sql::WhatIfStmt& stmt) {
   return key;
 }
 
-/// Builds the ScopeStage: relevant view + columnar image. When the context
-/// carries override cells and the base world's ScopeStage is cached, the
-/// image is the base image patched in place (ApplyOverrides) — bit-identical
-/// to re-encoding, at O(copy + cells) instead of O(cells scanned * typed
-/// dispatch). Falls back to a full build whenever patching is not possible
-/// (select views, a missing base stage, a kind-changing override).
+/// The cached `Use <relation>` image of `scope`, or null.
+std::shared_ptr<const ScopeStageData> PeekScope(const StageContext* ctx,
+                                                const std::string& scope,
+                                                const std::string& relation) {
+  if (ctx == nullptr || ctx->stages == nullptr || scope.empty()) {
+    return nullptr;
+  }
+  sql::UseClause use;
+  use.table = relation;
+  return std::static_pointer_cast<const ScopeStageData>(ctx->stages->Peek(
+      StageKind::kScope, ScopeStageKey(scope, use, relation)));
+}
+
+/// Image of table `relation` (`table` holds its rows in `db`) in the
+/// snapshot: the cached base image when its shape matches — `patched` is
+/// then set — else an encode of `table`, either way with the snapshot's
+/// overrides applied. Overrides are absolute, so this is right whether
+/// `table` is the base relation or already holds them, and the encode is
+/// never cached under the base scope.
+Result<ColumnTable> OverlaidImage(const Table& table,
+                                  const std::string& relation,
+                                  const StageContext* ctx, bool* patched) {
+  ColumnTable image;
+  *patched = false;
+  auto base = PeekScope(ctx, ctx != nullptr ? ctx->base_scope : "", relation);
+  if (base != nullptr && base->cview.num_rows() == table.num_rows() &&
+      base->cview.num_columns() == table.schema().num_attributes()) {
+    image = base->cview;  // shares columns and dictionary: O(columns)
+    *patched = true;
+  } else {
+    // A column mixing strings with numbers (reachable only through
+    // Table::AppendUnchecked) fails here with InvalidArgument naming it.
+    HYPER_ASSIGN_OR_RETURN(image, ColumnTable::FromTable(table));
+  }
+  if (ctx != nullptr && ctx->overrides != nullptr) {
+    auto cells = ctx->overrides->find(relation);
+    if (cells != ctx->overrides->end()) {
+      HYPER_RETURN_NOT_OK(image.ApplyOverrides(cells->second));
+    }
+  }
+  return image;
+}
+
+/// Builds the ScopeStage: relevant view + columnar image. A table view is
+/// the relation itself (row == tid, same attribute order), so its image is
+/// OverlaidImage: the snapshot's override cells, in base-table coordinates,
+/// patch the cached base image. A select view is encoded from the rows its
+/// select produces over the engine database, which must already hold the
+/// overrides.
 Result<std::shared_ptr<const ScopeStageData>> BuildScopeStage(
     const Database& db, const sql::UseClause& use,
     const std::string& update_attr0, const StageContext* ctx,
     const ExecGuard* guard) {
   HYPER_ASSIGN_OR_RETURN(ViewInfo info,
                          BuildRelevantView(db, use, update_attr0));
-  const std::string& update_relation = info.update_relation;
   auto stage = std::make_shared<ScopeStageData>();
   stage->view_info = std::make_shared<const ViewInfo>(std::move(info));
   const ViewInfo& vi = *stage->view_info;
@@ -1487,39 +1534,11 @@ Result<std::shared_ptr<const ScopeStageData>> BuildScopeStage(
         vrows * vi.view->schema().num_attributes() * sizeof(double),
         "whatif.prepare.scope"));
   }
-
-  bool patched = false;
-  if (use.is_table() && ctx != nullptr && ctx->stages != nullptr &&
-      !ctx->base_scope.empty() && ctx->overrides != nullptr &&
-      ctx->base_scope != ctx->data_scope) {
-    // The table view is the relation image itself (row == tid, same
-    // attribute order), so branch overrides in base-table coordinates patch
-    // the base image directly.
-    auto base_ptr = ctx->stages->Peek(
-        StageKind::kScope,
-        ScopeStageKey(ctx->base_scope, use, update_relation));
-    if (base_ptr != nullptr) {
-      auto base = std::static_pointer_cast<const ScopeStageData>(base_ptr);
-      if (base->cview.num_rows() == vi.view->num_rows() &&
-          base->cview.num_columns() == vi.view->schema().num_attributes()) {
-        ColumnTable image = base->cview;  // typed vector copy, shared dict
-        auto it = ctx->overrides->find(vi.update_relation);
-        Status applied = it != ctx->overrides->end()
-                             ? image.ApplyOverrides(it->second)
-                             : Status::OK();
-        if (applied.ok()) {
-          stage->cview = std::move(image);
-          patched = true;
-        }
-        // A kind-changing override: fall through to the full rebuild, which
-        // re-infers column kinds from the patched values.
-      }
-    }
-  }
-  if (!patched) {
-    // Columnar image of the view. A column mixing strings with numbers
-    // (reachable only through Table::AppendUnchecked) fails here with
-    // InvalidArgument naming the column.
+  if (use.is_table()) {
+    HYPER_ASSIGN_OR_RETURN(
+        stage->cview,
+        OverlaidImage(*vi.view, vi.update_relation, ctx, &stage->patched));
+  } else {
     HYPER_ASSIGN_OR_RETURN(stage->cview, ColumnTable::FromTable(*vi.view));
   }
   const Schema& vschema = vi.view->schema();
@@ -1909,6 +1928,16 @@ Result<std::shared_ptr<const T>> StagedOrFresh(const StageContext* ctx,
 
 }  // namespace
 
+Result<ColumnTable> RelationImage(const Database& db,
+                                  const std::string& relation,
+                                  const StageContext* ctx) {
+  HYPER_ASSIGN_OR_RETURN(const Table* table, db.GetTable(relation));
+  auto own = PeekScope(ctx, ctx != nullptr ? ctx->data_scope : "", relation);
+  if (own != nullptr) return own->cview;
+  bool patched = false;
+  return OverlaidImage(*table, relation, ctx, &patched);
+}
+
 PreparedWhatIf::PreparedWhatIf() : impl_(std::make_unique<Impl>()) {}
 PreparedWhatIf::~PreparedWhatIf() = default;
 
@@ -2103,6 +2132,7 @@ Result<WhatIfResult> EvaluatePrepared(const PreparedWhatIf::Impl& im,
   result.view_rows = n;
   result.updated_rows = updated;
   result.num_blocks = ca.blocks.num_blocks(n);
+  result.scope_patched = sc.patched;
   result.backdoor = ca.plan.backdoor_causal;
 
   if (guard != nullptr) {

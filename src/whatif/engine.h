@@ -69,13 +69,24 @@ class StageProvider {
                                       bool* hit) = 0;
 
   /// Returns the cached stage or nullptr. Never builds, never counts
-  /// hit/miss stats (used to locate a patch base, not to serve a query).
+  /// hit/miss stats (used to locate a patch base, not to serve a query);
+  /// may refresh the entry's recency.
   virtual StagePtr Peek(StageKind kind, const std::string& key) = 0;
 };
 
 /// Everything the staged pipeline needs to know about the data snapshot it
 /// is preparing against. Supplied by the scenario service; standalone
 /// callers may leave it out (Prepare then builds every stage fresh).
+///
+/// The snapshot's cell values are the engine's database with `overrides`
+/// applied on top. Overrides are absolute values, so the database may be
+/// the unpatched base (the service's O(delta) branch path) or may already
+/// hold them (applying them again changes nothing). A table view's columnar
+/// image is built from exactly that: the cached base image (or, when none
+/// is cached, an encode of the database's rows) patched with the overrides.
+/// Everything that reads the database's rows directly — select views, and
+/// the ground-graph blocks of a graph with cross-tuple edges — needs a
+/// database that already holds the overrides.
 struct StageContext {
   /// Stage cache; null disables stage caching (fresh builds).
   StageProvider* stages = nullptr;
@@ -86,11 +97,14 @@ struct StageContext {
   /// alone): keys stages that depend on data shape but not cell values.
   /// Empty = fall back to data_scope.
   std::string shape_scope;
-  /// data_scope of the unpatched base world this snapshot's overrides are
-  /// relative to; empty disables delta patching of the columnar image.
+  /// data_scope of the unpatched base world the overrides are relative to.
+  /// Its cached ScopeStage is the image a table view is patched from; an
+  /// image built from a snapshot's own data is never stored under it. Empty
+  /// = no patch base (the image is encoded from the rows, then patched).
   std::string base_scope;
   /// Sparse cell overrides of this snapshot vs base_scope, per relation
-  /// (base-table coordinates). Not owned; must outlive the Prepare call.
+  /// (base-table coordinates): the authoritative values of those cells.
+  /// Not owned; must outlive the Prepare call. Null = no overrides.
   const std::map<std::string, TableCellOverrides>* overrides = nullptr;
   /// Returns a scope id for the delta restricted to `attrs` of `relation`
   /// (same format contract as data_scope: equal ids => equal cell values on
@@ -189,6 +203,9 @@ struct WhatIfResult {
   /// Pattern estimators this query needed that were already trained on the
   /// shared plan (by an earlier query or batch sibling).
   size_t pattern_cache_hits = 0;
+  /// True when the plan's columnar image is the cached base image patched
+  /// with the snapshot's override cells rather than an encode of the rows.
+  bool scope_patched = false;
 };
 
 /// A prepared what-if plan: the relevant view (columnar image), the backdoor
@@ -333,6 +350,17 @@ class WhatIfEngine {
   const causal::CausalGraph* graph_;  // nullable
   WhatIfOptions options_;
 };
+
+/// Columnar image of `relation` in the snapshot `ctx` describes: `db`'s
+/// rows with ctx->overrides applied (see StageContext; `ctx` may be null).
+/// Reuses cached ScopeStage images through Peek and never builds or caches
+/// a stage: the snapshot's own `Use <relation>` image when cached, else the
+/// base image patched with the relation's overrides (no copy when it has
+/// none: images share their columns), else an encode of `db`'s rows patched
+/// the same way.
+Result<ColumnTable> RelationImage(const Database& db,
+                                  const std::string& relation,
+                                  const StageContext* ctx);
 
 }  // namespace hyper::whatif
 

@@ -225,36 +225,102 @@ TEST(ColumnTableTest, ApplyOverridesMatchesRebuild) {
   EXPECT_NE(patched.dict().Find("fresh"), Dictionary::kNullCode);
 }
 
-TEST(ColumnTableTest, ApplyOverridesRejectsKindChangingValues) {
+/// The row store `t` with `overrides` written into it (stale cells skipped).
+Table PatchRows(const Table& t, const TableCellOverrides& overrides) {
+  Table out = t;
+  for (const auto& [attr, cells] : overrides) {
+    for (const auto& [row, value] : cells) {
+      if (attr < out.schema().num_attributes() && row < out.num_rows()) {
+        out.SetValue(row, attr, value);
+      }
+    }
+  }
+  return out;
+}
+
+void ExpectSameValues(const ColumnTable& want, const ColumnTable& got) {
+  ASSERT_EQ(want.num_rows(), got.num_rows());
+  ASSERT_EQ(want.num_columns(), got.num_columns());
+  for (size_t a = 0; a < got.num_columns(); ++a) {
+    for (size_t r = 0; r < got.num_rows(); ++r) {
+      EXPECT_TRUE(want.GetValue(r, a).Equals(got.GetValue(r, a)))
+          << "cell (" << r << ", " << a << ")";
+    }
+  }
+}
+
+// ApplyOverrides is total over what FromTable accepts: a value that does not
+// fit a column's kind widens the column the way FromTable infers it over
+// the patched rows, instead of failing.
+TEST(ColumnTableTest, ApplyOverridesWidensKindsLikeARebuild) {
   Table t(Schema("T",
                  {{"I", ValueType::kInt, Mutability::kMutable},
-                  {"B", ValueType::kBool, Mutability::kMutable}},
+                  {"B", ValueType::kBool, Mutability::kMutable},
+                  {"J", ValueType::kInt, Mutability::kMutable}},
                  {}));
-  t.AppendUnchecked({Value::Int(1), Value::Bool(true)});
+  t.AppendUnchecked({Value::Int(1), Value::Bool(true), Value::Int(5)});
+  t.AppendUnchecked({Value::Int(2), Value::Bool(false), Value::Null()});
+  t.AppendUnchecked({Value::Int(3), Value::Bool(true), Value::Int(6)});
+  auto base = ColumnTable::FromTable(t);
+  ASSERT_TRUE(base.ok());
+  ASSERT_EQ(base->col(0).kind, ColumnKind::kInt64);
+
+  TableCellOverrides overrides;
+  overrides[0][1] = Value::Double(2.5);  // double into an all-int column
+  overrides[1][0] = Value::Int(4);       // int into a bool column
+  overrides[2][2] = Value::Bool(true);   // bool beside ints (and a NULL)
+  ColumnTable patched = *base;
+  ASSERT_TRUE(patched.ApplyOverrides(overrides).ok());
+
+  auto rebuilt = ColumnTable::FromTable(PatchRows(t, overrides));
+  ASSERT_TRUE(rebuilt.ok());
+  ExpectSameValues(*rebuilt, patched);
+  for (size_t a = 0; a < patched.num_columns(); ++a) {
+    EXPECT_EQ(rebuilt->col(a).kind, patched.col(a).kind) << "column " << a;
+  }
+  EXPECT_EQ(patched.col(0).kind, ColumnKind::kDouble);
+  EXPECT_TRUE(patched.col(2).is_null(1));
+
+  // The patch source shares no written column: it still holds its ints.
+  EXPECT_EQ(base->col(0).kind, ColumnKind::kInt64);
+  EXPECT_TRUE(base->GetValue(1, 0).Equals(Value::Int(2)));
+  EXPECT_EQ(base->col(1).kind, ColumnKind::kBool);
+}
+
+// Strings beside numbers fail exactly when FromTable over the patched rows
+// fails, with the image untouched; a column whose every value is
+// overridden takes the overrides' kind, as a rebuild would.
+TEST(ColumnTableTest, ApplyOverridesMixesFamiliesOnlyWhereARebuildCould) {
+  Table t(Schema("T",
+                 {{"I", ValueType::kInt, Mutability::kMutable},
+                  {"S", ValueType::kString, Mutability::kMutable}},
+                 {}));
+  t.AppendUnchecked({Value::Int(1), Value::String("a")});
+  t.AppendUnchecked({Value::Int(2), Value::Null()});
   auto base = ColumnTable::FromTable(t);
   ASSERT_TRUE(base.ok());
 
-  // A double landing in an all-int column would change the inferred kind
-  // (FromTable promotes to kDouble): the patch must refuse so the caller
-  // rebuilds instead of serving a kind-mismatched image.
   {
-    ColumnTable patched = *base;
     TableCellOverrides overrides;
-    overrides[0][0] = Value::Double(1.5);
-    EXPECT_FALSE(patched.ApplyOverrides(overrides).ok());
-  }
-  // Same for a non-bool landing in a bool column, and a string in numeric.
-  {
+    overrides[0][0] = Value::String("oops");  // row 1 keeps its int
+    overrides[1][0] = Value::String("b");     // a valid cell beside it
+    EXPECT_FALSE(ColumnTable::FromTable(PatchRows(t, overrides)).ok());
     ColumnTable patched = *base;
-    TableCellOverrides overrides;
-    overrides[1][0] = Value::Int(1);
-    EXPECT_FALSE(patched.ApplyOverrides(overrides).ok());
+    const Status status = patched.ApplyOverrides(overrides);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+    ExpectSameValues(*base, patched);
   }
   {
-    ColumnTable patched = *base;
+    // Every non-NULL string of S is overwritten by a number.
     TableCellOverrides overrides;
-    overrides[0][0] = Value::String("oops");
-    EXPECT_FALSE(patched.ApplyOverrides(overrides).ok());
+    overrides[1][0] = Value::Int(7);
+    auto rebuilt = ColumnTable::FromTable(PatchRows(t, overrides));
+    ASSERT_TRUE(rebuilt.ok());
+    ColumnTable patched = *base;
+    ASSERT_TRUE(patched.ApplyOverrides(overrides).ok());
+    ExpectSameValues(*rebuilt, patched);
+    EXPECT_EQ(patched.col(1).kind, ColumnKind::kInt64);
+    EXPECT_EQ(base->col(1).kind, ColumnKind::kCode);
   }
 }
 

@@ -1086,6 +1086,367 @@ TEST_F(ServiceTest, StagedVsFreshRunBitEqualAcrossThreads) {
   }
 }
 
+// --- O(delta) branches ----------------------------------------------------
+
+/// A StageProvider over a StageCache that counts the Peeks that found an
+/// entry: the only way a ScopeStage is patched instead of encoded.
+class PeekRecordingStages : public whatif::StageProvider {
+ public:
+  explicit PeekRecordingStages(StageCache* inner) : inner_(inner) {}
+
+  Result<StagePtr> GetOrBuild(whatif::StageKind kind, const std::string& key,
+                              const StageFactory& build, bool* hit) override {
+    return inner_->GetOrBuild(kind, key, build, hit);
+  }
+  StagePtr Peek(whatif::StageKind kind, const std::string& key) override {
+    StagePtr found = inner_->Peek(kind, key);
+    if (found != nullptr) ++peek_hits;
+    return found;
+  }
+
+  size_t peek_hits = 0;
+
+ private:
+  StageCache* inner_;
+};
+
+/// `db` with `overrides` written into copies of the touched relations.
+Database PatchedDatabase(const Database& db,
+                         const std::map<std::string, TableCellOverrides>&
+                             overrides) {
+  Database out = db.ShallowCopy();
+  for (const auto& [relation, attrs] : overrides) {
+    Table* table = out.GetMutableTable(relation).value();
+    for (const auto& [attr, cells] : attrs) {
+      for (const auto& [row, value] : cells) table->SetValue(row, attr, value);
+    }
+  }
+  return out;
+}
+
+/// Fresh directory under /tmp, removed (recursively) on destruction.
+class ScratchDir {
+ public:
+  ScratchDir() {
+    char tmpl[] = "/tmp/hyper_service_XXXXXX";
+    const char* made = ::mkdtemp(tmpl);
+    EXPECT_NE(made, nullptr);
+    path_ = made != nullptr ? made : "";
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+// A branch prepared against the UNPATCHED base database plus its override
+// cells gets its ScopeStage by patching the trunk's cached image (the Peek
+// finds it), and answers bit-identically to a fresh 1-thread engine over
+// the branch's rows.
+TEST_F(ServiceTest, BranchScopeStageIsPatchedFromTheCachedTrunkImage) {
+  const whatif::WhatIfOptions options = EngineOptions(
+      whatif::BackdoorMode::kGraph, learn::EstimatorKind::kForest);
+  StageCache cache(64);
+  PeekRecordingStages stages(&cache);
+  whatif::StageContext trunk;
+  trunk.stages = &stages;
+  trunk.data_scope = "base";
+  trunk.base_scope = "base";
+
+  whatif::WhatIfEngine engine(&db_, &graph_, options);
+  auto stmt = sql::ParseSql(kQuery);
+  ASSERT_TRUE(stmt.ok()) << stmt.status();
+  ASSERT_TRUE(engine.Prepare(*stmt->whatif, &trunk).ok());
+  EXPECT_EQ(0u, stages.peek_hits);
+
+  const Schema& schema = db_.GetTable("German").value()->schema();
+  const size_t status = schema.IndexOf("Status").value();
+  const size_t savings = schema.IndexOf("Savings").value();
+  std::map<std::string, TableCellOverrides> overrides;
+  for (size_t row : {3u, 17u, 400u}) {
+    overrides["German"][status][row] = Value::Int(1);
+    overrides["German"][savings][row] = Value::Int(2);
+  }
+  whatif::StageContext branch = trunk;
+  branch.data_scope = "branch";
+  branch.overrides = &overrides;
+  auto plan = engine.Prepare(*stmt->whatif, &branch);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_EQ(1u, stages.peek_hits) << "the trunk image was not found";
+  auto result =
+      engine.Evaluate(**plan, whatif::SpecsOfStatement(*stmt->whatif));
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(result->scope_patched);
+
+  const Database patched = PatchedDatabase(db_, overrides);
+  whatif::WhatIfOptions fresh_options = options;
+  fresh_options.num_threads = 1;
+  auto fresh =
+      whatif::WhatIfEngine(&patched, &graph_, fresh_options).RunSql(kQuery);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  EXPECT_EQ(fresh->updated_rows, result->updated_rows);
+  EXPECT_EQ(fresh->value, result->value);  // bit-for-bit
+}
+
+// With the trunk image gone (Clear), a branch's image is an encode of the
+// base rows plus its overrides — never stored as the base image — and the
+// answer is the same bits as a fresh 1-thread engine, and as the patched
+// path once the trunk image is back.
+TEST_F(ServiceTest, BranchAnswerAfterClearMatchesFreshRun) {
+  const whatif::WhatIfOptions options = EngineOptions(
+      whatif::BackdoorMode::kGraph, learn::EstimatorKind::kForest);
+  auto service = MakeService(options);
+  ASSERT_TRUE(service->Submit({"main", kQuery, {}}).ok());
+  ASSERT_TRUE(service->CreateScenario("b").ok());
+  ASSERT_TRUE(service
+                  ->ApplyHypotheticalSql("b",
+                                         "Use German When Id < 60 "
+                                         "Update(Status) = 1 Output Count(*)")
+                  .ok());
+  service->ClearCache();
+
+  Response encoded = service->Submit({"b", kQuery, {}});
+  ASSERT_TRUE(encoded.ok()) << encoded.status;
+  EXPECT_FALSE(encoded.whatif.scope_patched);
+  std::shared_ptr<const Database> world =
+      service->EffectiveDatabase("b").value();
+  whatif::WhatIfOptions fresh_options = options;
+  fresh_options.num_threads = 1;
+  auto fresh =
+      whatif::WhatIfEngine(world.get(), &graph_, fresh_options).RunSql(kQuery);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  EXPECT_EQ(fresh->value, encoded.whatif.value);
+
+  // The branch's encode did not land under the trunk's key: the trunk
+  // answers as a fresh run over the base does.
+  Response trunk = service->Submit({"main", kQuery, {}});
+  ASSERT_TRUE(trunk.ok()) << trunk.status;
+  EXPECT_EQ(FreshRun(kQuery, options), trunk.whatif.value);
+
+  service->ClearCache();
+  ASSERT_TRUE(service->Submit({"main", kQuery, {}}).ok());
+  Response patched = service->Submit({"b", kQuery, {}});
+  ASSERT_TRUE(patched.ok()) << patched.status;
+  EXPECT_TRUE(patched.whatif.scope_patched);
+  EXPECT_EQ(encoded.whatif.value, patched.whatif.value);
+}
+
+// Two chained applies on one branch, the second's When reading cells the
+// first wrote (through Pre values it also reads): the delta is computed over
+// the branch's columnar image, both from the base image plus overrides and
+// from the branch's own cached image, and must match a row-store scan of
+// the materialized branch. Fingerprints and answers survive WAL recovery.
+TEST_F(ServiceTest, ChainedAppliesComposeAndRecoverBitIdentically) {
+  data::GermanOptions data_options;
+  data_options.rows = 800;
+  data_options.seed = 11;
+  data_options.continuous_amount = true;
+  auto ds = data::MakeGermanSyn(data_options);
+  ASSERT_TRUE(ds.ok()) << ds.status();
+  const char* first =
+      "Use German When Id < 120 Update(CreditAmount) = 3 * Pre(CreditAmount) "
+      "Output Count(*)";
+  const char* second =
+      "Use German When CreditAmount > 6000 And Savings < 2 "
+      "Update(CreditAmount) = 0.5 + Pre(CreditAmount) Output Count(*)";
+  const char* query =
+      "Use German When CreditAmount > 5000 Update(Status) = 2 "
+      "Output Avg(Post(Credit))";
+  ScratchDir dir;
+  ServiceOptions service_options;
+  service_options.whatif = EngineOptions(whatif::BackdoorMode::kGraph,
+                                         learn::EstimatorKind::kFrequency);
+  service_options.num_threads = 1;
+  service_options.data_dir = dir.path();
+  service_options.wal_fsync = durability::FsyncPolicy::kAlways;
+
+  // Rows the second When selects, by a row-store scan of the branch after
+  // the first apply.
+  auto expected_second = [&](const Database& db) {
+    const Table& table = *db.GetTable("German").value();
+    const size_t amount = table.schema().IndexOf("CreditAmount").value();
+    const size_t savings = table.schema().IndexOf("Savings").value();
+    size_t rows = 0;
+    for (size_t r = 0; r < table.num_rows(); ++r) {
+      if (table.At(r, amount).AsDouble().value() > 6000 &&
+          table.At(r, savings).AsDouble().value() < 2) {
+        ++rows;
+      }
+    }
+    return rows;
+  };
+
+  std::vector<ScenarioInfo> live;
+  double live_answer = 0.0;
+  {
+    ScenarioService service(ds->db, ds->graph, service_options);
+    ASSERT_TRUE(service.recovery_status().ok()) << service.recovery_status();
+    ASSERT_TRUE(service.Submit({"main", query, {}}).ok());
+    // The expectation comes from a throwaway branch: materializing the
+    // measured branches here would hand the second apply their rows.
+    ASSERT_TRUE(service.CreateScenario("probe").ok());
+    ASSERT_TRUE(service.ApplyHypotheticalSql("probe", first).ok());
+    const size_t want =
+        expected_second(*service.EffectiveDatabase("probe").value());
+    ASSERT_NE(expected_second(ds->db), want) << "the first apply must matter";
+    ASSERT_TRUE(service.DropScenario("probe").ok());
+    for (const char* name : {"cold", "warm"}) {
+      SCOPED_TRACE(name);
+      ASSERT_TRUE(service.CreateScenario(name).ok());
+      auto updated = service.ApplyHypotheticalSql(name, first);
+      ASSERT_TRUE(updated.ok()) << updated.status();
+      EXPECT_EQ(120u, *updated);
+      if (std::string(name) == "warm") {
+        // Caches the branch's own image, which the second apply reads.
+        ASSERT_TRUE(service.Submit({name, query, {}}).ok());
+      }
+      updated = service.ApplyHypotheticalSql(name, second);
+      ASSERT_TRUE(updated.ok()) << updated.status();
+      EXPECT_EQ(want, *updated);
+      EXPECT_GT(*updated, 0u);
+    }
+    live = service.ListScenarios();
+    std::sort(live.begin(), live.end(),
+              [](const auto& a, const auto& b) { return a.name < b.name; });
+    ASSERT_EQ(3u, live.size());
+    EXPECT_EQ(live[0].delta_fingerprint, live[2].delta_fingerprint)
+        << "cold and warm chains diverged";
+    Response answer = service.Submit({"cold", query, {}});
+    ASSERT_TRUE(answer.ok()) << answer.status;
+    live_answer = answer.whatif.value;
+    whatif::WhatIfOptions fresh_options = service_options.whatif;
+    fresh_options.num_threads = 1;
+    std::shared_ptr<const Database> world =
+        service.EffectiveDatabase("cold").value();
+    auto fresh = whatif::WhatIfEngine(world.get(), &ds->graph, fresh_options)
+                     .RunSql(query);
+    ASSERT_TRUE(fresh.ok()) << fresh.status();
+    EXPECT_EQ(fresh->value, live_answer);
+  }
+  ScenarioService recovered(ds->db, ds->graph, service_options);
+  ASSERT_TRUE(recovered.recovery_status().ok())
+      << recovered.recovery_status();
+  std::vector<ScenarioInfo> infos = recovered.ListScenarios();
+  std::sort(infos.begin(), infos.end(),
+            [](const auto& a, const auto& b) { return a.name < b.name; });
+  ASSERT_EQ(live.size(), infos.size());
+  for (size_t i = 0; i < infos.size(); ++i) {
+    EXPECT_EQ(live[i].delta_fingerprint, infos[i].delta_fingerprint)
+        << infos[i].name;
+  }
+  Response answer = recovered.Submit({"cold", query, {}});
+  ASSERT_TRUE(answer.ok()) << answer.status;
+  EXPECT_EQ(live_answer, answer.whatif.value);
+}
+
+// Statements that read a branch's rows take the materializing path: a
+// select view over Amazon's join, and a table view on a graph whose
+// cross-tuple edge groups tuples by an attribute the branch rewrote. Both
+// answer bit-identically to a fresh 1-thread engine over the branch.
+TEST_F(ServiceTest, MaterializingPathsAnswerBitEqual) {
+  whatif::WhatIfOptions options = EngineOptions(
+      whatif::BackdoorMode::kGraph, learn::EstimatorKind::kForest);
+  whatif::WhatIfOptions fresh_options = options;
+  fresh_options.num_threads = 1;
+  auto expect_fresh = [&](ScenarioService& service,
+                          const causal::CausalGraph& graph,
+                          const std::string& query) {
+    SCOPED_TRACE(query);
+    ASSERT_TRUE(service.Submit({"main", query, {}}).ok());
+    Response branch = service.Submit({"b", query, {}});
+    ASSERT_TRUE(branch.ok()) << branch.status;
+    std::shared_ptr<const Database> world =
+        service.EffectiveDatabase("b").value();
+    auto fresh =
+        whatif::WhatIfEngine(world.get(), &graph, fresh_options).RunSql(query);
+    ASSERT_TRUE(fresh.ok()) << fresh.status();
+    EXPECT_EQ(fresh->value, branch.whatif.value);
+  };
+
+  data::AmazonOptions amazon_options;
+  amazon_options.products = 200;
+  amazon_options.reviews_per_product = 3;
+  auto amazon = data::MakeAmazonSyn(amazon_options);
+  ASSERT_TRUE(amazon.ok()) << amazon.status();
+  ServiceOptions service_options;
+  service_options.whatif = options;
+  service_options.num_threads = 1;
+  {
+    ScenarioService service(amazon->db, amazon->graph, service_options);
+    ASSERT_TRUE(service.CreateScenario("b").ok());
+    ASSERT_TRUE(service
+                    .ApplyHypotheticalSql(
+                        "b",
+                        "Use Product When Brand = 'Asus' Update(Price) = "
+                        "1.2 * Pre(Price) Output Count(*)")
+                    .ok());
+    expect_fresh(
+        service, amazon->graph,
+        "Use V As (Select T1.PID, T1.Category, T1.Brand, T1.Price, "
+        "T1.Quality, Avg(T2.Rating) As Rtng From Product As T1, Review As T2 "
+        "Where T1.PID = T2.PID Group By T1.PID, T1.Category, T1.Brand, "
+        "T1.Price, T1.Quality) When Brand = 'Asus' Update(Price) = 1.1 * "
+        "Pre(Price) Output Avg(Rtng)");
+  }
+
+  causal::CausalGraph linked = graph_;
+  linked.AddEdge("Housing", "Credit", "Savings");
+  {
+    ScenarioService service(db_, linked, service_options);
+    ASSERT_TRUE(service.CreateScenario("b").ok());
+    ASSERT_TRUE(service
+                    .ApplyHypotheticalSql("b",
+                                          "Use German When Id < 300 "
+                                          "Update(Savings) = 2 Output Count(*)")
+                    .ok());
+    expect_fresh(service, linked, kQuery);
+  }
+}
+
+// Peek keeps a patch base recent: with more branches than the stage cache
+// holds, the trunk image survives and every branch is patched from it.
+TEST_F(ServiceTest, TrunkImageOutlivesMoreBranchesThanCapacity) {
+  StageCache cache(2);
+  auto build = [](int tag) {
+    return [tag]() -> Result<StageCache::StagePtr> {
+      return std::static_pointer_cast<const void>(std::make_shared<int>(tag));
+    };
+  };
+  const auto kind = whatif::StageKind::kScope;
+  ASSERT_TRUE(cache.GetOrBuild(kind, "a", build(1), nullptr).ok());
+  ASSERT_TRUE(cache.GetOrBuild(kind, "b", build(2), nullptr).ok());
+  const PlanCacheStats before = cache.stats();
+  ASSERT_NE(nullptr, cache.Peek(kind, "a"));  // a is now the most recent
+  ASSERT_TRUE(cache.GetOrBuild(kind, "c", build(3), nullptr).ok());
+  EXPECT_NE(nullptr, cache.Peek(kind, "a"));
+  EXPECT_EQ(nullptr, cache.Peek(kind, "b"));
+  const PlanCacheStats after = cache.stats();
+  EXPECT_EQ(before.scope.hits, after.scope.hits);
+  EXPECT_EQ(before.scope.misses + 1, after.scope.misses);
+
+  const whatif::WhatIfOptions options = EngineOptions(
+      whatif::BackdoorMode::kGraph, learn::EstimatorKind::kFrequency);
+  auto service = MakeService(options, /*capacity=*/2);
+  ASSERT_TRUE(service->Submit({"main", kQuery, {}}).ok());
+  for (int i = 0; i < 5; ++i) {
+    const std::string name = "b" + std::to_string(i);
+    SCOPED_TRACE(name);
+    ASSERT_TRUE(service->CreateScenario(name).ok());
+    ASSERT_TRUE(service
+                    ->ApplyHypotheticalSql(
+                        name, "Use German When Id = " + std::to_string(i) +
+                                  " Update(Savings) = 2 Output Count(*)")
+                    .ok());
+    Response r = service->Submit({name, kQuery, {}});
+    ASSERT_TRUE(r.ok()) << r.status;
+    EXPECT_TRUE(r.whatif.scope_patched);
+  }
+}
+
 // --- the storage substrate the branches ride on ---------------------------
 
 TEST_F(ServiceTest, DatabaseShallowCopyIsCopyOnWrite) {
